@@ -14,6 +14,7 @@ from .invariant import (
     CableRegime,
     cable_upsilon,
     classify_cable,
+    envelope,
     iterated_cable_integral,
     knot_upsilon,
     staircase_sum,
@@ -47,8 +48,6 @@ from .knots import (
 from .pl import (
     Line,
     PLFunction,
-    Rat,
-    WindowedPL,
     amalgamate,
     compress_into_window,
     concat_pieces,

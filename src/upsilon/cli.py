@@ -11,22 +11,20 @@ L-space knot / wrong cabling regime), 4 verification failure, 1 internal.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .errors import AssemblyError, KnotSyntaxError, NotLSpaceError
-from .invariant import knot_upsilon
+from .invariant import knot_upsilon, tau, upsilon_integral
 from .knots import Cable, KnotExpr, genus, parse_knot, semigroup_of
-from .pl import PLFunction
+from .semigroup import CableRegime, cable_qs
 from .verify import identity_tags, verify_identity
 
 DEFAULT_CORES = ("torus(2,3)", "torus(2,5)", "torus(3,4)", "torus(3,7)", "pretzel(3)")
-
-
-def _rat_str(x: Fraction) -> str:
-    return str(x)
 
 
 def _effective_method(requested: str) -> str:
@@ -41,10 +39,6 @@ def _write(args, text: str):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _format_breakpoints(f: PLFunction) -> str:
-    return " ".join(f"({_rat_str(t)},{_rat_str(v)})" for t, v in f.breakpoints) + "\n"
 
 
 def _svg(curves) -> str:
@@ -95,10 +89,10 @@ def cmd_upsilon(args) -> int:
         except (ValueError, ZeroDivisionError):
             print(f"bad rational {args.eval!r}", file=sys.stderr)
             return 2
-        _write(args, _rat_str(f(t)) + "\n")
+        _write(args, f"{f(t)}\n")
         return 0
     if args.format == "breakpoints-text":
-        _write(args, _format_breakpoints(f))
+        _write(args, f"{f}\n")
     elif args.format == "json":
         _write(args, f.to_json() + "\n")
     elif args.format == "csv":
@@ -114,18 +108,13 @@ def cmd_upsilon(args) -> int:
 
 def cmd_integral(args) -> int:
     k = parse_knot(args.expr)
-    f = knot_upsilon(k, method=_effective_method(args.method))
-    _write(args, _rat_str(f.integral()) + "\n")
+    _write(args, f"{upsilon_integral(k, _effective_method(args.method))}\n")
     return 0
 
 
 def cmd_tau(args) -> int:
     k = parse_knot(args.expr)
-    f = knot_upsilon(k, method=_effective_method(args.method))
-    slope = f.initial_slope()
-    if slope.denominator != 1:
-        raise AssemblyError(f"initial slope {slope} is not an integer")
-    _write(args, f"{-slope.numerator}\n")
+    _write(args, f"{tau(k, _effective_method(args.method))}\n")
     return 0
 
 
@@ -133,8 +122,6 @@ def cmd_semigroup(args) -> int:
     k = parse_knot(args.expr)
     s = semigroup_of(k)
     if args.format == "json":
-        import json
-
         _write(args, json.dumps(s.to_json_dict()) + "\n")
     else:
         _write(args, str(s) + "\n")
@@ -156,41 +143,28 @@ def _cores(args) -> list[KnotExpr]:
     return out
 
 
-def _coprime_range(p, lo, hi):
-    return [q for q in range(max(lo, 1), hi + 1) if gcd(p, q) == 1]
-
-
-def _first_coprime(p, lo):
-    q = max(lo, 1)
-    while gcd(p, q) != 1:
-        q += 1
-    return q
-
-
 def _sweep(tag, args):
     """Yield (checker-args, checker-kwargs) tuples for one verify sweep."""
     pmax, qmax = args.pmax, args.qmax
     cores = _cores(args)
+    plain, windowed = CableRegime.PLAIN_SUM, CableRegime.WINDOWED
     if tag in ("thm-main", "wang"):
         for core in cores:
             g = genus(core)
             for p in range(2, pmax + 1):
-                lo = 2 * g * p if tag == "thm-main" else (2 * g - 1) * p
-                for q in _coprime_range(p, lo, qmax):
+                qs = cable_qs(g, p, plain, qmax)
+                if tag == "wang":
+                    qs = chain(cable_qs(g, p, windowed, qmax), qs)
+                for q in qs:
                     yield (core, p, q), {}
-    elif tag in ("thm-s", "thm-cor", "sandwich"):
+    elif tag in ("thm-s", "thm-cor", "sandwich", "lemma18"):
         for core in cores:
+            if tag == "lemma18":
+                yield (), {"core": core}
             g = genus(core)
             for p in range(2, pmax + 1):
-                for q in _coprime_range(p, (2 * g - 1) * p + 1, min(2 * g * p - 1, qmax)):
-                    yield (core, p, q), {}
-    elif tag == "lemma18":
-        for core in cores:
-            yield (), {"core": core}
-            g = genus(core)
-            for p in range(2, pmax + 1):
-                for q in _coprime_range(p, (2 * g - 1) * p + 1, min(2 * g * p - 1, qmax)):
-                    yield (p, q), {}
+                for q in cable_qs(g, p, windowed, qmax):
+                    yield ((p, q) if tag == "lemma18" else (core, p, q)), {}
     elif tag in ("prop8", "fk", "dedekind"):
         first = True
         for q in range(2, pmax + 1):
@@ -205,11 +179,11 @@ def _sweep(tag, args):
         for core in cores:
             g = genus(core)
             for p1 in range(2, min(pmax, 3) + 1):
-                q1 = _first_coprime(p1, 2 * g * p1)
-                if q1 > qmax:
+                q1 = next(cable_qs(g, p1, plain, qmax), None)
+                if q1 is None:
                     continue
                 level1 = Cable(core, p1, q1)
-                q2 = _first_coprime(2, 4 * genus(level1))
+                q2 = next(cable_qs(genus(level1), 2, plain))
                 yield (Cable(level1, 2, q2),), {}
     elif tag == "symmetry":
         for core in cores:
@@ -218,12 +192,12 @@ def _sweep(tag, args):
             for p in (2, 3):
                 if p > pmax:
                     continue
-                q = _first_coprime(p, 2 * g * p)
-                if q <= qmax:
+                q = next(cable_qs(g, p, plain, qmax), None)
+                if q is not None:
                     yield (Cable(core, p, q),), {}
-                narrow = _coprime_range(p, (2 * g - 1) * p + 1, min(2 * g * p - 1, qmax))
-                if narrow:
-                    yield (Cable(core, p, narrow[0]),), {}
+                narrow = next(cable_qs(g, p, windowed, qmax), None)
+                if narrow is not None:
+                    yield (Cable(core, p, narrow),), {}
     else:
         raise ValueError(f"unknown identity tag {tag!r}")
 
@@ -297,10 +271,7 @@ def main(argv=None) -> int:
     except KnotSyntaxError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except NotLSpaceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (NotLSpaceError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except AssemblyError as exc:

@@ -7,8 +7,9 @@ is the upper envelope of the 2g+1 lines
 
 That envelope, applied to the cable semigroup produced by the p*S + q*Z>=0
 construction, is the oracle path used to verify every cabling formula here.
+Every envelope here is ``envelope`` over an inclusive range of line indices.
 
-The formula paths:
+The formula paths, selected by ``classify_cable`` (defined in ``semigroup``):
 
 * q >= 2gp: Upsilon of the cable is the p-fold amalgamation of the
   companion's Upsilon plus the torus knot's Upsilon.
@@ -22,8 +23,6 @@ The formula paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 
@@ -40,7 +39,6 @@ from .knots import (
 from .pl import (
     Line,
     PLFunction,
-    WindowedPL,
     amalgamate,
     compress_into_window,
     concat_pieces,
@@ -49,7 +47,14 @@ from .pl import (
     upper_envelope,
     zero_function,
 )
-from .semigroup import FormalSemigroup, torus_semigroup
+from .semigroup import (
+    CableParams,
+    CableRegime,
+    FormalSemigroup,
+    cable_semigroup,
+    classify_cable,
+    torus_semigroup,
+)
 
 
 def upsilon_line(s: FormalSemigroup, m: int) -> Line:
@@ -61,14 +66,21 @@ def upsilon_line(s: FormalSemigroup, m: int) -> Line:
 
 
 def _line(s: FormalSemigroup, m: int) -> Line:
-    # extended version: count_below is affine outside [0, 2g], so any integer
-    # index yields a meaningful line
     return Line(Fraction(m - s.genus), Fraction(-2 * s.count_below(m)))
+
+
+def envelope(s: FormalSemigroup, m_lo: int, m_hi: int, t0=0, t1=2) -> PLFunction:
+    """Upper envelope on [t0, t1] of the lines indexed m_lo .. m_hi inclusive.
+
+    Indices outside [0, 2g] are allowed: count_below is affine there, so
+    every integer index yields a meaningful line.
+    """
+    return upper_envelope((_line(s, m) for m in range(m_lo, m_hi + 1)), t0, t1)
 
 
 def upsilon_from_semigroup(s: FormalSemigroup) -> PLFunction:
     """Upsilon as the upper envelope of all 2g+1 semigroup lines (the oracle)."""
-    return upper_envelope(_line(s, m) for m in range(0, 2 * s.genus + 1))
+    return envelope(s, 0, 2 * s.genus)
 
 
 def truncated_upsilon(s: FormalSemigroup) -> PLFunction:
@@ -76,104 +88,41 @@ def truncated_upsilon(s: FormalSemigroup) -> PLFunction:
     middle band [threshold, 2 - threshold]."""
     if s.genus < 1:
         raise ValueError("truncated invariant undefined for the unknot semigroup")
-    return upper_envelope(_line(s, m) for m in range(1, 2 * s.genus))
+    return envelope(s, 1, 2 * s.genus - 1)
 
 
-def _head_upsilon(s: FormalSemigroup) -> PLFunction:
-    # envelope over m = 0 .. 2g-1 (top line removed); the windowed cabling
-    # formula needs it because the m = 2g line of the companion pairs with
-    # the next window's line family instead
-    return upper_envelope(_line(s, m) for m in range(0, 2 * s.genus))
-
-
-def _delta_regime(p: int, q: int) -> tuple[int, int]:
-    """Return (g, delta) such that (2g-1)p < q < 2gp, or raise."""
-    if p < 2 or q < 1:
-        raise ValueError(f"need p >= 2 and q >= 1, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ValueError(f"parameters must be coprime, got ({p}, {q})")
-    k, delta = divmod(q, p)
-    if delta == 0 or k % 2 == 0:
-        raise ValueError(
-            f"({p}, {q}) admits no companion genus with (2g-1)p < q < 2gp"
-        )
-    return (k + 1) // 2, delta
-
-
-def _family_envelope(st: FormalSemigroup, m_lo: int, m_hi: int, t0, t1) -> PLFunction:
-    # envelope of the torus lines with index in (m_lo, m_hi], on [t0, t1]
-    return upper_envelope((_line(st, m) for m in range(m_lo + 1, m_hi + 1)), t0, t1)
-
-
-def upsilon_delta(p: int, q: int, variant: int) -> WindowedPL:
-    """The four window-restricted torus line families.
-
-    With delta = q mod p, on window i the families cover the index ranges
+def upsilon_delta(p: int, q: int, variant: int) -> tuple[PLFunction, ...]:
+    """The four window-restricted torus line families, as p pieces; piece i
+    lives on the window [2i/p, 2(i+1)/p].  With delta = q mod p, on window
+    i the families cover the index ranges
 
         1: (iq - delta, iq]        2: (iq - p, iq - delta]
         3: (iq - p, iq - p + delta]        4: (iq - p + delta, iq]
 
     Per window, max of variants 1 and 2 recovers Upsilon of the torus knot,
-    and variants 3/4 are the reflections of 1/2.
+    and variants 3/4 are the reflections of 1/2.  Adjacent pieces may
+    disagree at their shared boundary.
     """
     if variant not in (1, 2, 3, 4):
         raise ValueError(f"variant must be 1, 2, 3 or 4, got {variant}")
-    _, delta = _delta_regime(p, q)
+    if p < 2 or q < 1:
+        raise ValueError(f"need p >= 2 and q >= 1, got ({p}, {q})")
+    # (p, q) is windowed for at most one companion genus: (2g-1) = q // p
+    params = classify_cable((q // p + 1) // 2, p, q)
+    if params.regime is not CableRegime.WINDOWED:
+        raise ValueError(
+            f"({p}, {q}) admits no companion genus with (2g-1)p < q < 2gp"
+        )
+    delta = params.delta
+    lo, hi = {1: (-delta, 0), 2: (-p, -delta), 3: (-p, delta - p), 4: (delta - p, 0)}[variant]
     st = torus_semigroup(p, q)
-    pieces = []
-    for i in range(p):
-        t0, t1 = Fraction(2 * i, p), Fraction(2 * (i + 1), p)
-        if variant == 1:
-            lo, hi = i * q - delta, i * q
-        elif variant == 2:
-            lo, hi = i * q - p, i * q - delta
-        elif variant == 3:
-            lo, hi = i * q - p, i * q - p + delta
-        else:
-            lo, hi = i * q - p + delta, i * q
-        pieces.append(_family_envelope(st, lo, hi, t0, t1))
-    return WindowedPL(p, tuple(pieces))
+    return tuple(
+        envelope(st, i * q + lo + 1, i * q + hi, Fraction(2 * i, p), Fraction(2 * (i + 1), p))
+        for i in range(p)
+    )
 
 
-class CableRegime(Enum):
-    PLAIN_SUM = "plain-sum"      # q >= 2gp: amalgamation + torus term
-    WINDOWED = "windowed"        # (2g-1)p < q < 2gp: three-term window maxima
-    IDENTITY = "identity"        # p = 1: the cable is the companion
-    REJECTED = "rejected"        # q < (2g-1)p: not an L-space knot
-
-
-@dataclass(frozen=True)
-class CableParams:
-    p: int
-    q: int
-    genus: int          # companion genus
-    delta: int          # q - (2g-1)p
-    regime: CableRegime
-
-
-def classify_cable(companion_genus: int, p: int, q: int) -> CableParams:
-    if p < 1 or q < 1:
-        raise ValueError(f"cable parameters must be positive, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ValueError(f"cable parameters must be coprime, got ({p}, {q})")
-    g = companion_genus
-    delta = q - (2 * g - 1) * p
-    if p == 1:
-        regime = CableRegime.IDENTITY
-    elif q >= 2 * g * p:
-        regime = CableRegime.PLAIN_SUM
-    elif delta > 0:
-        regime = CableRegime.WINDOWED
-    else:
-        regime = CableRegime.REJECTED
-    return CableParams(p, q, g, delta, regime)
-
-
-def _plain_sum_formula(ups_k: PLFunction, p: int, q: int) -> PLFunction:
-    return pl_add(amalgamate(ups_k, p), upsilon_from_semigroup(torus_semigroup(p, q)))
-
-
-def _windowed_formula(s: FormalSemigroup, p: int, q: int) -> PLFunction:
+def _windowed_formula(s: FormalSemigroup, params: CableParams) -> PLFunction:
     """Window assembly for (2g-1)p < q < 2gp.
 
     On window i with s = pt - 2i the cable's Upsilon is
@@ -190,19 +139,18 @@ def _windowed_formula(s: FormalSemigroup, p: int, q: int) -> PLFunction:
     of the cable semigroup, and the blocks tile the window, so the maximum
     is exact everywhere; no case split on s is needed.
     """
-    g = s.genus
-    delta = q - (2 * g - 1) * p
-    if not (0 < delta < p):
-        raise ValueError(f"({p}, {q}) is not in the windowed regime for genus {g}")
+    g, p, q, delta = s.genus, params.p, params.q, params.delta
     st = torus_semigroup(p, q)
-    head = _head_upsilon(s)
+    # head: the companion's lines without the top one (m = 2g), which pairs
+    # with the next window's line family instead
+    head = envelope(s, 0, 2 * g - 1)
     trunc = truncated_upsilon(s)
     windows = []
     for i in range(p):
         t0, t1 = Fraction(2 * i, p), Fraction(2 * (i + 1), p)
-        f1_here = _family_envelope(st, i * q - delta, i * q, t0, t1)
-        f2_here = _family_envelope(st, i * q - p, i * q - delta, t0, t1)
-        f1_next = _family_envelope(st, (i + 1) * q - delta, (i + 1) * q, t0, t1)
+        f1_here = envelope(st, i * q - delta + 1, i * q, t0, t1)
+        f2_here = envelope(st, i * q - p + 1, i * q - delta, t0, t1)
+        f1_next = envelope(st, (i + 1) * q - delta + 1, (i + 1) * q, t0, t1)
         a = pl_add(compress_into_window(head, p, i), f1_here)
         b = pl_add(compress_into_window(trunc, p, i), f2_here)
         # the stub block contributes (2 - s)g on top of the next family,
@@ -236,14 +184,15 @@ def cable_upsilon(companion: KnotExpr, p: int, q: int, method: str = "both") -> 
         return upsilon_from_semigroup(s)
     oracle = formula = None
     if method in ("oracle", "both"):
-        oracle = upsilon_from_semigroup(
-            semigroup_of(Cable(companion, p, q))
-        )
+        oracle = upsilon_from_semigroup(cable_semigroup(s, p, q))
     if method in ("formula", "both"):
         if params.regime is CableRegime.PLAIN_SUM:
-            formula = _plain_sum_formula(upsilon_from_semigroup(s), p, q)
+            formula = pl_add(
+                amalgamate(upsilon_from_semigroup(s), p),
+                upsilon_from_semigroup(torus_semigroup(p, q)),
+            )
         else:
-            formula = _windowed_formula(s, p, q)
+            formula = _windowed_formula(s, params)
     if oracle is not None and formula is not None and oracle != formula:
         raise AssemblyError(
             f"formula and envelope paths disagree for cable({companion};{p},{q})"
@@ -255,23 +204,20 @@ def knot_upsilon(k: KnotExpr, method: str = "both") -> PLFunction:
     """Upsilon of any L-space knot expression."""
     if isinstance(k, Cable):
         return cable_upsilon(k.companion, k.p, k.q, method)
-    check = is_lspace(k)
-    if not check:
-        raise NotLSpaceError(check.reason)
     return upsilon_from_semigroup(semigroup_of(k))
 
 
-def tau(k: KnotExpr) -> int:
+def tau(k: KnotExpr, method: str = "oracle") -> int:
     """The concordance invariant -Upsilon'(0); equals the genus here."""
-    slope = knot_upsilon(k, method="oracle").initial_slope()
+    slope = knot_upsilon(k, method).initial_slope()
     if slope.denominator != 1:
         raise AssemblyError(f"initial slope {slope} is not an integer")
     return -slope.numerator
 
 
-def upsilon_integral(k: KnotExpr) -> Fraction:
+def upsilon_integral(k: KnotExpr, method: str = "oracle") -> Fraction:
     """Exact integral of Upsilon over [0, 2]."""
-    return knot_upsilon(k, method="oracle").integral()
+    return knot_upsilon(k, method).integral()
 
 
 def torus_integral_from_cf(p: int, q: int) -> Fraction:
@@ -297,10 +243,11 @@ def iterated_cable_integral(k: KnotExpr) -> Fraction:
     term per level.
     """
     if isinstance(k, Cable):
-        if k.p == 1:
-            return iterated_cable_integral(k.companion)
         g = genus(k.companion)
-        if k.q < 2 * g * k.p:
+        regime = classify_cable(g, k.p, k.q).regime
+        if regime is CableRegime.IDENTITY:
+            return iterated_cable_integral(k.companion)
+        if regime is not CableRegime.PLAIN_SUM:
             raise NotLSpaceError(
                 f"additivity needs q >= 2gp at every level; {k} has q = {k.q} < {2 * g * k.p}"
             )

@@ -17,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import KnotSyntaxError
 from .semigroup import (
+    CableRegime,
     FormalSemigroup,
     cable_semigroup,
+    classify_cable,
     pretzel_semigroup,
     torus_semigroup,
     unknot_semigroup,
@@ -75,10 +77,22 @@ class Cable:
             raise ValueError(f"cable parameters must be coprime, got ({self.p}, {self.q})")
 
     def __str__(self):
-        return f"cable({self.companion};{self.p},{self.q})"
+        core, levels = _unwind(self)
+        return "cable(" * len(levels) + str(core) + "".join(f";{c.p},{c.q})" for c in levels)
 
 
 KnotExpr = Union[Unknot, Torus, Pretzel, Cable]
+
+
+def _unwind(k: KnotExpr) -> tuple[KnotExpr, list[Cable]]:
+    """k's innermost non-cable knot and its cable levels, innermost first;
+    a loop, not recursion, so tower depth is bounded only by memory."""
+    levels = []
+    while isinstance(k, Cable):
+        levels.append(k)
+        k = k.companion
+    levels.reverse()
+    return k, levels
 
 
 class _Parser:
@@ -121,9 +135,25 @@ class _Parser:
         return self.text[start:self.pos]
 
     def expr(self) -> KnotExpr:
-        self.skip_ws()
-        at = self.pos
-        head = self.word()
+        # a cable nests only through its first argument, so the open
+        # "cable(" levels form a stack and are closed innermost first
+        opened = []
+        while True:
+            self.skip_ws()
+            at = self.pos
+            head = self.word()
+            if head != "cable":
+                break
+            self.expect("(")
+            opened.append(at)
+        k = self.build(head, at)
+        while opened:
+            k = self.build("cable", opened.pop(), k)
+        return k
+
+    def build(self, head: str, at: int, companion: Optional[KnotExpr] = None) -> KnotExpr:
+        # the rest of the constructor starting at ``at``; for a cable, what
+        # follows its companion
         try:
             if head == "unknot":
                 return Unknot()
@@ -140,8 +170,6 @@ class _Parser:
                 self.expect(")")
                 return Pretzel(n)
             if head == "cable":
-                self.expect("(")
-                companion = self.expr()
                 self.expect(";")
                 p = self.integer()
                 self.expect(",")
@@ -166,15 +194,18 @@ def parse_knot(text: str) -> KnotExpr:
 
 def genus(k: KnotExpr) -> int:
     """Seifert genus under the L-space assumption (half the Alexander degree)."""
-    if isinstance(k, Unknot):
-        return 0
-    if isinstance(k, Torus):
-        return (k.p - 1) * (k.q - 1) // 2
-    if isinstance(k, Pretzel):
-        return k.n + 2
-    if isinstance(k, Cable):
-        return k.p * genus(k.companion) + (k.p - 1) * (k.q - 1) // 2
-    raise TypeError(f"not a knot expression: {k!r}")
+    core, levels = _unwind(k)
+    if isinstance(core, Unknot):
+        g = 0
+    elif isinstance(core, Torus):
+        g = (core.p - 1) * (core.q - 1) // 2
+    elif isinstance(core, Pretzel):
+        g = core.n + 2
+    else:
+        raise TypeError(f"not a knot expression: {core!r}")
+    for c in levels:
+        g = c.p * g + (c.p - 1) * (c.q - 1) // 2
+    return g
 
 
 class LSpaceCheck(NamedTuple):
@@ -189,38 +220,34 @@ def is_lspace(k: KnotExpr) -> LSpaceCheck:
     """Whether k is an L-space knot, with the failing level named if not.
 
     Unknots, positive torus knots and the pretzel family always qualify; a
-    cable does iff its companion does and q >= (2g-1)p at that level.  A
-    p = 1 cable is the companion itself and imposes no condition.
+    cable does iff its companion does and ``classify_cable`` does not reject
+    it at that level.  The innermost failing level is the one reported.
     """
-    if isinstance(k, (Unknot, Torus, Pretzel)):
-        return LSpaceCheck(True, "ok")
-    if isinstance(k, Cable):
-        inner = is_lspace(k.companion)
-        if not inner:
-            return inner
-        if k.p == 1:
-            return LSpaceCheck(True, "ok")
-        g = genus(k.companion)
-        need = (2 * g - 1) * k.p
-        if k.q < need:
+    core, levels = _unwind(k)
+    g = genus(core)
+    for c in levels:
+        if classify_cable(g, c.p, c.q).regime is CableRegime.REJECTED:
             return LSpaceCheck(
                 False,
-                f"{k}: requires q >= (2g-1)p = {need} for companion genus {g}, got q = {k.q}",
+                f"{c}: requires q >= (2g-1)p = {(2 * g - 1) * c.p} for companion genus {g}, got q = {c.q}",
             )
-        return LSpaceCheck(True, "ok")
-    raise TypeError(f"not a knot expression: {k!r}")
+        g = c.p * g + (c.p - 1) * (c.q - 1) // 2
+    return LSpaceCheck(True, "ok")
 
 
 def semigroup_of(k: KnotExpr) -> FormalSemigroup:
-    if isinstance(k, Unknot):
-        return unknot_semigroup()
-    if isinstance(k, Torus):
-        return torus_semigroup(k.p, k.q)
-    if isinstance(k, Pretzel):
-        return pretzel_semigroup(k.n)
-    if isinstance(k, Cable):
-        return cable_semigroup(semigroup_of(k.companion), k.p, k.q)
-    raise TypeError(f"not a knot expression: {k!r}")
+    core, levels = _unwind(k)
+    if isinstance(core, Unknot):
+        s = unknot_semigroup()
+    elif isinstance(core, Torus):
+        s = torus_semigroup(core.p, core.q)
+    elif isinstance(core, Pretzel):
+        s = pretzel_semigroup(core.n)
+    else:
+        raise TypeError(f"not a knot expression: {core!r}")
+    for c in levels:
+        s = cable_semigroup(s, c.p, c.q)
+    return s
 
 
 @dataclass(frozen=True)

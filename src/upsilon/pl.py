@@ -17,8 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import AssemblyError
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 _TWO = Fraction(2)
 
@@ -236,11 +234,16 @@ def upper_envelope(lines: Iterable[Line], lo=_ZERO, hi=_TWO) -> PLFunction:
     return PLFunction(tuple(pts))
 
 
+def merged_grid(*fs: PLFunction) -> list[Fraction]:
+    """The sorted union of the breakpoint abscissae of fs."""
+    return sorted({t for f in fs for t, _ in f.breakpoints})
+
+
 def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:
     """Pointwise sum; breakpoints are merged from both operands."""
     if f.domain != g.domain:
         raise ValueError(f"domain mismatch: {f.domain} vs {g.domain}")
-    ts = sorted({t for t, _ in f.breakpoints} | {t for t, _ in g.breakpoints})
+    ts = merged_grid(f, g)
     return PLFunction(tuple((t, f(t) + g(t)) for t in ts))
 
 
@@ -248,7 +251,7 @@ def pl_max(f: PLFunction, g: PLFunction) -> PLFunction:
     """Pointwise maximum, with crossing points inserted exactly."""
     if f.domain != g.domain:
         raise ValueError(f"domain mismatch: {f.domain} vs {g.domain}")
-    ts = sorted({t for t, _ in f.breakpoints} | {t for t, _ in g.breakpoints})
+    ts = merged_grid(f, g)
     pts: list[tuple[Fraction, Fraction]] = []
     for a, b in zip(ts, ts[1:]):
         fa, ga, fb, gb = f(a), g(a), f(b), g(b)
@@ -300,43 +303,3 @@ def concat_pieces(pieces: Sequence[PLFunction]) -> PLFunction:
             raise AssemblyError(f"jump at t = {t0}: left value {pts[-1][1]}, right value {v0}")
         pts.extend(piece.breakpoints[1:])
     return PLFunction(tuple(pts))
-
-
-@dataclass(frozen=True)
-class WindowedPL:
-    """A function on [0, 2] given per window [2i/p, 2(i+1)/p], i = 0..p-1.
-
-    Each piece is continuous on its window but adjacent pieces may disagree
-    at the shared boundary; evaluation at a boundary uses the left window.
-    """
-
-    p: int
-    pieces: tuple[PLFunction, ...]
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be positive")
-        if len(self.pieces) != self.p:
-            raise ValueError(f"expected {self.p} pieces, got {len(self.pieces)}")
-        for i, piece in enumerate(self.pieces):
-            want = (Fraction(2 * i, self.p), Fraction(2 * (i + 1), self.p))
-            if piece.domain != want:
-                raise ValueError(f"piece {i} covers {piece.domain}, expected {want}")
-
-    def window_index(self, t) -> int:
-        t = rat(t)
-        if not (0 <= t <= 2):
-            raise ValueError(f"t = {t} outside [0, 2]")
-        i = int(t * self.p / 2)
-        if i >= self.p:
-            i = self.p - 1
-        if i > 0 and t == Fraction(2 * i, self.p):
-            i -= 1  # boundary points belong to the window on their left
-        return i
-
-    def __call__(self, t) -> Fraction:
-        return self.pieces[self.window_index(t)](rat(t))
-
-    def to_plfunction(self) -> PLFunction:
-        """Glue the windows, insisting on continuity at every boundary."""
-        return concat_pieces(self.pieces)

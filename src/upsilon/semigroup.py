@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from math import gcd
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import NotLSpaceError
 
@@ -139,6 +141,57 @@ def pretzel_semigroup(n: int) -> FormalSemigroup:
     return FormalSemigroup(n + 2, tuple(small))
 
 
+class CableRegime(Enum):
+    PLAIN_SUM = "plain-sum"      # q >= 2gp: amalgamation + torus term
+    WINDOWED = "windowed"        # (2g-1)p < q < 2gp: three-term window maxima
+    IDENTITY = "identity"        # p = 1: the cable is the companion
+    REJECTED = "rejected"        # q < (2g-1)p: not an L-space knot
+
+
+@dataclass(frozen=True)
+class CableParams:
+    p: int
+    q: int
+    genus: int          # companion genus
+    delta: int          # q - (2g-1)p
+    regime: CableRegime
+
+
+def classify_cable(companion_genus: int, p: int, q: int) -> CableParams:
+    """The regime of the (p, q)-cable of a genus-g companion: the one place
+    that compares q with (2g-1)p and 2gp."""
+    if p < 1 or q < 1:
+        raise ValueError(f"cable parameters must be positive, got ({p}, {q})")
+    if gcd(p, q) != 1:
+        raise ValueError(f"cable parameters must be coprime, got ({p}, {q})")
+    g = companion_genus
+    delta = q - (2 * g - 1) * p
+    if p == 1:
+        regime = CableRegime.IDENTITY
+    elif q >= 2 * g * p:
+        regime = CableRegime.PLAIN_SUM
+    elif delta > 0:
+        regime = CableRegime.WINDOWED
+    else:
+        regime = CableRegime.REJECTED
+    return CableParams(p, q, g, delta, regime)
+
+
+def cable_qs(companion_genus: int, p: int, regime: CableRegime, q_max: Optional[int] = None) -> Iterator[int]:
+    """The q >= 1 coprime to p, increasing, that ``classify_cable`` puts in
+    ``regime`` for a genus-g companion; unbounded unless ``q_max`` caps it."""
+    for q in count(1):
+        if q_max is not None and q > q_max:
+            return
+        if gcd(p, q) != 1:
+            continue
+        found = classify_cable(companion_genus, p, q).regime
+        if found is regime:
+            yield q
+        elif found in (CableRegime.PLAIN_SUM, CableRegime.IDENTITY):
+            return  # the regime of every larger q as well
+
+
 def cable_semigroup(s: FormalSemigroup, p: int, q: int) -> FormalSemigroup:
     """p*S + q*Z>=0, the semigroup of the (p, q)-cable.
 
@@ -146,13 +199,10 @@ def cable_semigroup(s: FormalSemigroup, p: int, q: int) -> FormalSemigroup:
     every semigroup invariant, so the arithmetic here is self-checking.
     p = 1 is the identity cable and returns s unchanged.
     """
-    if p < 1 or q < 1:
-        raise ValueError(f"cable parameters must be positive, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ValueError(f"cable parameters must be coprime, got ({p}, {q})")
-    if p == 1:
+    regime = classify_cable(s.genus, p, q).regime
+    if regime is CableRegime.IDENTITY:
         return s
-    if q < p * (2 * s.genus - 1):
+    if regime is CableRegime.REJECTED:
         raise NotLSpaceError(
             f"not an L-space cable: q = {q} < p(2g-1) = {p * (2 * s.genus - 1)}"
         )

@@ -22,7 +22,6 @@ from .invariant import (
     iterated_cable_integral,
     knot_upsilon,
     staircase_sum,
-    tau,
     torus_integral_from_cf,
     torus_upsilon_decomposition,
     truncated_upsilon,
@@ -39,7 +38,7 @@ from .knots import (
     semigroup_of,
     signature_integral_torus,
 )
-from .pl import PLFunction, amalgamate, compress_into_window, pl_add, pl_max
+from .pl import PLFunction, amalgamate, compress_into_window, merged_grid, pl_add, pl_max
 from .semigroup import (
     alexander_from_semigroup,
     cable_semigroup,
@@ -100,7 +99,7 @@ def _first_difference(f: PLFunction, g: PLFunction):
         return f.lo if f.lo != g.lo else f.hi
     if f == g:
         return None
-    for t in sorted({t for t, _ in f.breakpoints} | {t for t, _ in g.breakpoints}):
+    for t in merged_grid(f, g):
         if f(t) != g(t):
             return t
     return None  # canonical forms differ only if some merged breakpoint does
@@ -121,14 +120,17 @@ def _compare_values(identity, params, lhs, rhs, witness_t=None, note=None):
     return _failed(identity, params, witness_t, lhs, rhs, note)
 
 
+def _require_regime(regime: CableRegime, companion_genus: int, core: KnotExpr, p: int, q: int):
+    if classify_cable(companion_genus, p, q).regime is not regime:
+        raise ValueError(f"({p},{q}) is not in the {regime.value} regime for {core}")
+
+
 # -- individual identities ---------------------------------------------------
 
 def check_plain_sum_cable(core: KnotExpr, p: int, q: int) -> VerificationReport:
     """q >= 2gp: amalgamated companion term plus torus term equals the oracle."""
     params = (core, p, q)
-    regime = classify_cable(genus(core), p, q).regime
-    if regime is not CableRegime.PLAIN_SUM:
-        raise ValueError(f"({p},{q}) is not in the plain-sum regime for {core}")
+    _require_regime(CableRegime.PLAIN_SUM, genus(core), core, p, q)
     lhs = cable_upsilon(core, p, q, method="formula")
     rhs = cable_upsilon(core, p, q, method="oracle")
     return _compare_pl("thm-main", params, lhs, rhs)
@@ -148,8 +150,7 @@ def check_sum_region(core: KnotExpr, p: int, q: int) -> VerificationReport:
     """Windowed regime: the plain sum formula holds on the stated s-ranges."""
     params = (core, p, q)
     s = semigroup_of(core)
-    if classify_cable(s.genus, p, q).regime is not CableRegime.WINDOWED:
-        raise ValueError(f"({p},{q}) is not in the windowed regime for {core}")
+    _require_regime(CableRegime.WINDOWED, s.genus, core, p, q)
     mu = s.threshold()
     oracle = cable_upsilon(core, p, q, method="oracle")
     ups_k = upsilon_from_semigroup(s)
@@ -181,8 +182,7 @@ def check_windowed_cable(core: KnotExpr, p: int, q: int) -> VerificationReport:
     """Windowed regime: the full window assembly equals the oracle (the
     assembly itself raises if any junction is discontinuous)."""
     params = (core, p, q)
-    if classify_cable(genus(core), p, q).regime is not CableRegime.WINDOWED:
-        raise ValueError(f"({p},{q}) is not in the windowed regime for {core}")
+    _require_regime(CableRegime.WINDOWED, genus(core), core, p, q)
     try:
         lhs = cable_upsilon(core, p, q, method="formula")
     except AssemblyError as exc:
@@ -196,18 +196,12 @@ def check_sandwich(core: KnotExpr, p: int, q: int) -> VerificationReport:
     upper >= cable >= lower at every breakpoint of all three functions."""
     params = (core, p, q)
     s = semigroup_of(core)
-    if classify_cable(s.genus, p, q).regime is not CableRegime.WINDOWED:
-        raise ValueError(f"({p},{q}) is not in the windowed regime for {core}")
+    _require_regime(CableRegime.WINDOWED, s.genus, core, p, q)
     cable = cable_upsilon(core, p, q, method="oracle")
     ups_t = upsilon_from_semigroup(torus_semigroup(p, q))
     upper = pl_add(amalgamate(upsilon_from_semigroup(s), p), ups_t)
     lower = pl_add(amalgamate(truncated_upsilon(s), p), ups_t)
-    ts = sorted(
-        {t for t, _ in cable.breakpoints}
-        | {t for t, _ in upper.breakpoints}
-        | {t for t, _ in lower.breakpoints}
-    )
-    for t in ts:
+    for t in merged_grid(cable, upper, lower):
         hi, mid, lo = upper(t), cable(t), lower(t)
         if not (hi >= mid >= lo):
             return _failed("sandwich", params, t, f"{hi} >= {mid} >= {lo}", "monotone chain")
@@ -231,21 +225,18 @@ def check_window_symmetries(
             t = _first_difference(tr, tr.reflect())
             return _failed("lemma18", params, t, tr(t), tr.reflect()(t))
     if p is not None and q is not None:
-        d1 = upsilon_delta(p, q, 1)
-        d2 = upsilon_delta(p, q, 2)
-        d3 = upsilon_delta(p, q, 3)
-        d4 = upsilon_delta(p, q, 4)
+        d1, d2, d3, d4 = (upsilon_delta(p, q, variant) for variant in (1, 2, 3, 4))
         ups_t = upsilon_from_semigroup(torus_semigroup(p, q))
         for i in range(p):
             for name, got, want in (
-                ("variant3", d3.pieces[i], d1.pieces[p - 1 - i].reflect()),
-                ("variant4", d4.pieces[i], d2.pieces[p - 1 - i].reflect()),
+                ("variant3", d3[i], d1[p - 1 - i].reflect()),
+                ("variant4", d4[i], d2[p - 1 - i].reflect()),
             ):
                 if got != want:
                     t = _first_difference(got, want)
                     return _failed("lemma18", params, t, got(t), want(t), note=name)
             t0, t1 = Fraction(2 * i, p), Fraction(2 * (i + 1), p)
-            cover = pl_max(d1.pieces[i], d2.pieces[i])
+            cover = pl_max(d1[i], d2[i])
             want = ups_t.restrict(t0, t1)
             if cover != want:
                 t = _first_difference(cover, want)
@@ -367,12 +358,13 @@ def check_structure(k: KnotExpr) -> VerificationReport:
         t = _first_difference(ups, ups.reflect())
         return _failed("symmetry", params, t, ups(t), ups.reflect()(t), note="reflection")
     g = genus(k)
-    if tau(k) != g:
-        return _failed("symmetry", params, None, tau(k), g, note="tau vs genus")
+    tau = -ups.initial_slope()
+    if tau != g:
+        return _failed("symmetry", params, None, tau, g, note="tau vs genus")
     if not isinstance(k, Unknot):
         s = semigroup_of(k)
         tr = truncated_upsilon(s)
-        for t in sorted({t for t, _ in ups.breakpoints} | {t for t, _ in tr.breakpoints}):
+        for t in merged_grid(ups, tr):
             if tr(t) > ups(t):
                 return _failed("symmetry", params, t, tr(t), ups(t), note="truncated exceeds full")
         mu = s.threshold()

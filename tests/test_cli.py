@@ -1,7 +1,12 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import upsilon
 from upsilon.cli import main
 
 
@@ -76,6 +81,46 @@ def test_not_lspace_exit_code(capsys):
     code, _, err = run(capsys, "upsilon", "cable(torus(2,3);2,1)")
     assert code == 3
     assert "q = 1 < (2g-1)p = 2" in err
+
+
+def test_rejection_stderr_pinned(capsys):
+    top = "cable(torus(2,3);2,1): q = 1 < (2g-1)p = 2; not an L-space knot, and no formula is available\n"
+    inner = "cable(torus(2,3);2,1): requires q >= (2g-1)p = 2 for companion genus 1, got q = 1\n"
+    for command in ("upsilon", "tau", "integral"):
+        assert run(capsys, command, "cable(torus(2,3);2,1)") == (3, "", top), command
+        assert run(capsys, command, "cable(cable(torus(2,3);2,1);2,99)") == (3, "", inner), command
+    semigroup = "not an L-space cable: q = 1 < p(2g-1) = 2\n"
+    assert run(capsys, "semigroup", "cable(torus(2,3);2,1)") == (3, "", semigroup)
+    assert run(capsys, "semigroup", "cable(cable(torus(2,3);2,1);2,99)") == (3, "", semigroup)
+
+
+def _console(*argv):
+    # a fresh interpreter, as the console script runs: an uncaught exception
+    # there ends in a traceback on stderr and exit code 1
+    src = str(Path(upsilon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "upsilon.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _identity_tower(depth):
+    expr = "torus(2,3)"
+    for _ in range(depth):
+        expr = f"cable({expr};1,7)"
+    return expr
+
+
+def test_deep_identity_tower_computes():
+    assert _console("upsilon", _identity_tower(1500)) == (0, "(0,0) (1,-1) (2,0)\n", "")
+
+
+def test_deep_tower_rejected_outer_level_has_no_traceback():
+    tower = _identity_tower(1500)
+    code, out, err = _console("upsilon", f"cable({tower};2,1)")
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+    assert err == f"cable({tower};2,1): q = 1 < (2g-1)p = 2; not an L-space knot, and no formula is available\n"
 
 
 def test_verify_sweep_passes(capsys):

@@ -24,7 +24,7 @@ from upsilon.invariant import (
 )
 from upsilon.knots import Cable, Pretzel, Torus, Unknot, parse_knot
 from upsilon.pl import Line, PLFunction, pl_max, upper_envelope
-from upsilon.semigroup import torus_semigroup, unknot_semigroup
+from upsilon.semigroup import cable_qs, torus_semigroup, unknot_semigroup
 
 T37 = torus_semigroup(3, 7)
 
@@ -65,8 +65,8 @@ def test_delta_families_for_3_35():
     d2 = upsilon_delta(3, 35, 2)
     w = (F(2, 3), F(4, 3))
     # window 1 of variant 1 is the line t - 24; of variant 2 the line -22 - t
-    assert d1.pieces[1] == PLFunction(((w[0], w[0] - 24), (w[1], w[1] - 24)))
-    assert d2.pieces[1] == PLFunction(((w[0], -22 - w[0]), (w[1], -22 - w[1])))
+    assert d1[1] == PLFunction(((w[0], w[0] - 24), (w[1], w[1] - 24)))
+    assert d2[1] == PLFunction(((w[0], -22 - w[0]), (w[1], -22 - w[1])))
 
 
 def test_delta_families_cover_torus_upsilon():
@@ -76,7 +76,7 @@ def test_delta_families_cover_torus_upsilon():
         ups_t = upsilon_from_semigroup(torus_semigroup(p, q))
         for i in range(p):
             t0, t1 = F(2 * i, p), F(2 * (i + 1), p)
-            assert pl_max(d1.pieces[i], d2.pieces[i]) == ups_t.restrict(t0, t1)
+            assert pl_max(d1[i], d2[i]) == ups_t.restrict(t0, t1)
 
 
 def test_delta_rejects_wrong_regime_and_variant():
@@ -91,9 +91,9 @@ def test_delta_rejects_wrong_regime_and_variant():
 def test_reflection_relates_variant_3_to_1():
     d1 = upsilon_delta(3, 35, 1)
     d3 = upsilon_delta(3, 35, 3)
-    assert d3.pieces[1].reflect() == d1.pieces[1]
+    assert d3[1].reflect() == d1[1]
     for i in range(3):
-        assert d3.pieces[i] == d1.pieces[2 - i].reflect()
+        assert d3[i] == d1[2 - i].reflect()
 
 
 def test_classify_cable():
@@ -105,6 +105,17 @@ def test_classify_cable():
     assert classify_cable(0, 4, 7).regime is CableRegime.PLAIN_SUM
     with pytest.raises(ValueError, match="coprime"):
         classify_cable(2, 2, 4)
+
+
+def test_cable_qs_lists_each_regime_in_order():
+    for g in range(0, 5):
+        for p in range(2, 6):
+            for regime in (CableRegime.WINDOWED, CableRegime.PLAIN_SUM):
+                want = [q for q in range(1, 61)
+                        if gcd(p, q) == 1 and classify_cable(g, p, q).regime is regime]
+                assert list(cable_qs(g, p, regime, 60)) == want
+            assert next(cable_qs(g, p, CableRegime.PLAIN_SUM)) >= 2 * g * p
+    assert list(cable_qs(6, 3, CableRegime.WINDOWED)) == [34, 35]
 
 
 def test_cable_upsilon_plain_sum_example():

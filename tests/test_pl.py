@@ -8,7 +8,6 @@ from upsilon.errors import AssemblyError
 from upsilon.pl import (
     Line,
     PLFunction,
-    WindowedPL,
     amalgamate,
     compress_into_window,
     concat_pieces,
@@ -196,21 +195,6 @@ def test_compress_into_window():
     g = compress_into_window(TENT, 2, 1)
     assert g.domain == (F(1), F(2))
     assert g(F(3, 2)) == TENT(1)
-
-
-def test_windowed_pl_boundary_uses_left_window():
-    lo_piece = PLFunction(((0, 0), (1, 1)))
-    hi_piece = PLFunction(((1, 5), (2, 6)))
-    w = WindowedPL(2, (lo_piece, hi_piece))
-    assert w(1) == 1  # left window wins at the shared boundary
-    assert w(F(3, 2)) == F(11, 2)
-    with pytest.raises(AssemblyError):
-        w.to_plfunction()
-
-
-def test_windowed_pl_validates_cover():
-    with pytest.raises(ValueError, match="covers"):
-        WindowedPL(2, (PLFunction(((0, 0), (1, 0))), PLFunction(((0, 0), (1, 0)))))
 
 
 def test_json_round_trip_and_exact_strings():
