@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -25,12 +24,6 @@ from .semigroup import CableRegime, cable_qs
 from .verify import identity_tags, verify_identity
 
 DEFAULT_CORES = ("torus(2,3)", "torus(2,5)", "torus(3,4)", "torus(3,7)", "pretzel(3)")
-
-
-def _effective_method(requested: str) -> str:
-    if os.environ.get("UPSILON_NO_CROSSCHECK") == "1":
-        return "oracle"
-    return requested
 
 
 def _write(args, text: str):
@@ -82,7 +75,7 @@ def _svg(curves) -> str:
 
 def cmd_upsilon(args) -> int:
     k = parse_knot(args.expr)
-    f = knot_upsilon(k, method=_effective_method(args.method))
+    f = knot_upsilon(k, method=args.method)
     if args.eval is not None:
         try:
             t = Fraction(args.eval)
@@ -100,7 +93,7 @@ def cmd_upsilon(args) -> int:
     else:  # svg
         curves = [(f, "#1f77b4")]
         if args.overlay:
-            g = knot_upsilon(parse_knot(args.overlay), method=_effective_method(args.method))
+            g = knot_upsilon(parse_knot(args.overlay), method=args.method)
             curves.append((g, "#d62728"))
         _write(args, _svg(curves))
     return 0
@@ -108,13 +101,13 @@ def cmd_upsilon(args) -> int:
 
 def cmd_integral(args) -> int:
     k = parse_knot(args.expr)
-    _write(args, f"{upsilon_integral(k, _effective_method(args.method))}\n")
+    _write(args, f"{upsilon_integral(k, args.method)}\n")
     return 0
 
 
 def cmd_tau(args) -> int:
     k = parse_knot(args.expr)
-    _write(args, f"{tau(k, _effective_method(args.method))}\n")
+    _write(args, f"{tau(k, args.method)}\n")
     return 0
 
 

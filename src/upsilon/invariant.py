@@ -31,6 +31,7 @@ from .knots import (
     Cable,
     KnotExpr,
     Torus,
+    _unwind,
     continued_fraction,
     genus,
     is_lspace,
@@ -42,6 +43,7 @@ from .pl import (
     amalgamate,
     compress_into_window,
     concat_pieces,
+    first_difference,
     pl_add,
     pl_max,
     upper_envelope,
@@ -194,8 +196,10 @@ def cable_upsilon(companion: KnotExpr, p: int, q: int, method: str = "both") -> 
         else:
             formula = _windowed_formula(s, params)
     if oracle is not None and formula is not None and oracle != formula:
+        t = first_difference(formula, oracle)
         raise AssemblyError(
             f"formula and envelope paths disagree for cable({companion};{p},{q})"
+            f" at t = {t}: formula {formula(t)}, envelope {oracle(t)}"
         )
     return oracle if oracle is not None else formula
 
@@ -240,19 +244,21 @@ def iterated_cable_integral(k: KnotExpr) -> Fraction:
 
     Each genuine cabling level must satisfy q >= 2gp for its companion
     (the plain-sum regime); then the integral is the core's plus one torus
-    term per level.
+    term per level.  The innermost failing level is the one reported.
     """
-    if isinstance(k, Cable):
-        g = genus(k.companion)
-        regime = classify_cable(g, k.p, k.q).regime
-        if regime is CableRegime.IDENTITY:
-            return iterated_cable_integral(k.companion)
-        if regime is not CableRegime.PLAIN_SUM:
+    core, levels = _unwind(k)
+    g = genus(core)
+    total = upsilon_integral(core)
+    for c in levels:
+        regime = classify_cable(g, c.p, c.q).regime
+        if regime is CableRegime.PLAIN_SUM:
+            total += upsilon_integral(Torus(c.p, c.q))
+        elif regime is not CableRegime.IDENTITY:
             raise NotLSpaceError(
-                f"additivity needs q >= 2gp at every level; {k} has q = {k.q} < {2 * g * k.p}"
+                f"additivity needs q >= 2gp at every level; {c} has q = {c.q} < {2 * g * c.p}"
             )
-        return iterated_cable_integral(k.companion) + upsilon_integral(Torus(k.p, k.q))
-    return upsilon_integral(k)
+        g = c.p * g + (c.p - 1) * (c.q - 1) // 2
+    return total
 
 
 def torus_upsilon_decomposition(p: int, q: int) -> list[tuple[int, int]]:

@@ -76,9 +76,25 @@ class Cable:
         if gcd(self.p, self.q) != 1:
             raise ValueError(f"cable parameters must be coprime, got ({self.p}, {self.q})")
 
+    # str, repr, == and hash unwind the tower; the dataclass ones recurse per level
     def __str__(self):
         core, levels = _unwind(self)
         return "cable(" * len(levels) + str(core) + "".join(f";{c.p},{c.q})" for c in levels)
+
+    def __repr__(self):
+        core, levels = _unwind(self)
+        tail = "".join(f", p={c.p!r}, q={c.q!r})" for c in levels)
+        return "Cable(companion=" * len(levels) + repr(core) + tail
+
+    def _key(self):
+        core, levels = _unwind(self)
+        return core, tuple((c.p, c.q) for c in levels)
+
+    def __eq__(self, other):
+        return isinstance(other, Cable) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 KnotExpr = Union[Unknot, Torus, Pretzel, Cable]

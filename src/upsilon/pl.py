@@ -13,7 +13,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import AssemblyError
 
@@ -237,6 +237,15 @@ def upper_envelope(lines: Iterable[Line], lo=_ZERO, hi=_TWO) -> PLFunction:
 def merged_grid(*fs: PLFunction) -> list[Fraction]:
     """The sorted union of the breakpoint abscissae of fs."""
     return sorted({t for f in fs for t, _ in f.breakpoints})
+
+
+def first_difference(f: PLFunction, g: PLFunction) -> Optional[Fraction]:
+    """The first abscissa at which f and g differ, or None if f == g: a
+    differing endpoint, else a merged breakpoint (canonical forms that
+    differ also differ at one of those)."""
+    if f.domain != g.domain:
+        return f.lo if f.lo != g.lo else f.hi
+    return next((t for t in merged_grid(f, g) if f(t) != g(t)), None)
 
 
 def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:

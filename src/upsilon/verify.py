@@ -1,8 +1,9 @@
 """Identity verification: exact two-sided checks with witness reporting.
 
-Every check compares a formula path against the independent envelope path
-(or a closed form against exact integration) and produces a
-``VerificationReport``.  Failures carry a witness abscissa at which the two
+Every check states its identity as claims, pairs of sides computed by
+independent paths (a formula against the envelope, a closed form against
+exact integration), and ``_report`` makes them a ``VerificationReport``: a
+pass, or the first failing claim with a witness abscissa, at which two PL
 sides evaluate to different rationals.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .errors import AssemblyError, NotLSpaceError
@@ -23,7 +23,6 @@ from .invariant import (
     knot_upsilon,
     staircase_sum,
     torus_integral_from_cf,
-    torus_upsilon_decomposition,
     truncated_upsilon,
     upsilon_delta,
     upsilon_from_semigroup,
@@ -38,7 +37,15 @@ from .knots import (
     semigroup_of,
     signature_integral_torus,
 )
-from .pl import PLFunction, amalgamate, compress_into_window, merged_grid, pl_add, pl_max
+from .pl import (
+    PLFunction,
+    amalgamate,
+    compress_into_window,
+    first_difference,
+    merged_grid,
+    pl_add,
+    pl_max,
+)
 from .semigroup import (
     alexander_from_semigroup,
     cable_semigroup,
@@ -75,8 +82,7 @@ class VerificationReport:
             "witness_t": None if self.witness_t is None else f"{self.witness_t.numerator}/{self.witness_t.denominator}",
         }
         if self.status == "fail":
-            payload["lhs"] = self.lhs
-            payload["rhs"] = self.rhs
+            payload.update(lhs=self.lhs, rhs=self.rhs)
         if self.note:
             payload["note"] = self.note
         return json.dumps(payload)
@@ -87,37 +93,23 @@ def _passed(identity, params, note=None) -> VerificationReport:
 
 
 def _failed(identity, params, witness_t, lhs, rhs, note=None) -> VerificationReport:
-    return VerificationReport(
-        identity, tuple(params), "fail", witness_t, str(lhs), str(rhs), note
-    )
+    return VerificationReport(identity, tuple(params), "fail", witness_t, str(lhs), str(rhs), note)
 
 
-def _first_difference(f: PLFunction, g: PLFunction):
-    """First abscissa (from the merged breakpoint grid) where f and g differ,
-    or None if they agree as functions."""
-    if f.domain != g.domain:
-        return f.lo if f.lo != g.lo else f.hi
-    if f == g:
-        return None
-    for t in merged_grid(f, g):
-        if f(t) != g(t):
-            return t
-    return None  # canonical forms differ only if some merged breakpoint does
-
-
-def _compare_pl(identity, params, lhs: PLFunction, rhs: PLFunction, note=None):
-    if lhs == rhs:
-        return _passed(identity, params, note)
-    t = _first_difference(lhs, rhs)
-    if t is None:
-        return _failed(identity, params, lhs.lo, str(lhs), str(rhs), note)
-    return _failed(identity, params, t, lhs(t), rhs(t), note)
-
-
-def _compare_values(identity, params, lhs, rhs, witness_t=None, note=None):
-    if lhs == rhs:
-        return _passed(identity, params, note)
-    return _failed(identity, params, witness_t, lhs, rhs, note)
+def _report(identity, params, claims, note=None) -> VerificationReport:
+    """The first failing claim ``(lhs, rhs[, note[, witness_t]])`` as a failed
+    report, else a pass.  Claims are consumed in order, so a generator skips
+    the work after a failing one.  Two PL sides are reported by their values
+    at the first abscissa where they differ.  A claim's note wins over note.
+    """
+    for claim in claims:
+        lhs, rhs, claim_note, witness_t = (*claim, None, None)[:4]
+        if lhs != rhs:
+            if isinstance(lhs, PLFunction) and isinstance(rhs, PLFunction):
+                witness_t = first_difference(lhs, rhs)
+                lhs, rhs = lhs(witness_t), rhs(witness_t)
+            return _failed(identity, params, witness_t, lhs, rhs, claim_note or note)
+    return _passed(identity, params, note)
 
 
 def _require_regime(regime: CableRegime, companion_genus: int, core: KnotExpr, p: int, q: int):
@@ -127,68 +119,51 @@ def _require_regime(regime: CableRegime, companion_genus: int, core: KnotExpr, p
 
 # -- individual identities ---------------------------------------------------
 
+def _formula_vs_oracle(identity, regime: CableRegime, core: KnotExpr, p: int, q: int):
+    params = (core, p, q)
+    _require_regime(regime, genus(core), core, p, q)
+    try:
+        lhs = cable_upsilon(core, p, q, method="formula")
+    except AssemblyError as exc:
+        return _failed(identity, params, None, "assembly", "oracle", note=str(exc))
+    return _report(identity, params, [(lhs, cable_upsilon(core, p, q, method="oracle"))])
+
+
 def check_plain_sum_cable(core: KnotExpr, p: int, q: int) -> VerificationReport:
     """q >= 2gp: amalgamated companion term plus torus term equals the oracle."""
-    params = (core, p, q)
-    _require_regime(CableRegime.PLAIN_SUM, genus(core), core, p, q)
-    lhs = cable_upsilon(core, p, q, method="formula")
-    rhs = cable_upsilon(core, p, q, method="oracle")
-    return _compare_pl("thm-main", params, lhs, rhs)
-
-
-def _sum_regions(mu: Fraction, i: int, p: int):
-    # closed s-ranges on which the plain sum formula is asserted per window
-    if i == 0:
-        yield (Fraction(0), 2 - mu)
-    elif i == p - 1:
-        yield (mu, Fraction(2))
-    else:
-        yield (mu, 2 - mu)
+    return _formula_vs_oracle("thm-main", CableRegime.PLAIN_SUM, core, p, q)
 
 
 def check_sum_region(core: KnotExpr, p: int, q: int) -> VerificationReport:
     """Windowed regime: the plain sum formula holds on the stated s-ranges."""
-    params = (core, p, q)
     s = semigroup_of(core)
     _require_regime(CableRegime.WINDOWED, s.genus, core, p, q)
     mu = s.threshold()
     oracle = cable_upsilon(core, p, q, method="oracle")
     ups_k = upsilon_from_semigroup(s)
     ups_t = upsilon_from_semigroup(torus_semigroup(p, q))
-    for i in range(p):
-        for s0, s1 in _sum_regions(mu, i, p):
-            if s0 > s1:
-                continue
-            t0 = Fraction(2 * i + s0, p)
-            t1 = Fraction(2 * i + s1, p)
+
+    def claims():
+        for i in range(p):
+            # the closed s-range on which the plain sum is asserted in window i
+            s0 = 0 if i == 0 else mu
+            s1 = 2 if i == p - 1 else 2 - mu
+            t0, t1 = Fraction(2 * i + s0, p), Fraction(2 * i + s1, p)
             if s0 == s1:
-                lhs = oracle(t0)
-                rhs = ups_k(s0) + ups_t(t0)
-                if lhs != rhs:
-                    return _failed("thm-s", params, t0, lhs, rhs)
-                continue
-            lhs_pl = oracle.restrict(t0, t1)
-            rhs_pl = pl_add(
-                compress_into_window(ups_k.restrict(s0, s1), p, i),
-                ups_t.restrict(t0, t1),
-            )
-            if lhs_pl != rhs_pl:
-                t = _first_difference(lhs_pl, rhs_pl)
-                return _failed("thm-s", params, t, lhs_pl(t), rhs_pl(t))
-    return _passed("thm-s", params)
+                yield oracle(t0), ups_k(s0) + ups_t(t0), None, t0
+            elif s0 < s1:
+                yield oracle.restrict(t0, t1), pl_add(
+                    compress_into_window(ups_k.restrict(s0, s1), p, i),
+                    ups_t.restrict(t0, t1),
+                )
+
+    return _report("thm-s", (core, p, q), claims())
 
 
 def check_windowed_cable(core: KnotExpr, p: int, q: int) -> VerificationReport:
     """Windowed regime: the full window assembly equals the oracle (the
     assembly itself raises if any junction is discontinuous)."""
-    params = (core, p, q)
-    _require_regime(CableRegime.WINDOWED, genus(core), core, p, q)
-    try:
-        lhs = cable_upsilon(core, p, q, method="formula")
-    except AssemblyError as exc:
-        return _failed("thm-cor", params, None, "assembly", "oracle", note=str(exc))
-    rhs = cable_upsilon(core, p, q, method="oracle")
-    return _compare_pl("thm-cor", params, lhs, rhs)
+    return _formula_vs_oracle("thm-cor", CableRegime.WINDOWED, core, p, q)
 
 
 def check_sandwich(core: KnotExpr, p: int, q: int) -> VerificationReport:
@@ -218,94 +193,67 @@ def check_window_symmetries(
     against window p-1-i; additionally the per-window max of variants 1 and 2
     rebuilds the full torus-knot Upsilon.
     """
+
+    def claims():
+        if core is not None:
+            tr = truncated_upsilon(semigroup_of(core))
+            yield tr, tr.reflect()
+        if p is not None and q is not None:
+            d1, d2, d3, d4 = (upsilon_delta(p, q, variant) for variant in (1, 2, 3, 4))
+            ups_t = upsilon_from_semigroup(torus_semigroup(p, q))
+            for i in range(p):
+                yield d3[i], d1[p - 1 - i].reflect(), "variant3"
+                yield d4[i], d2[p - 1 - i].reflect(), "variant4"
+                window = ups_t.restrict(Fraction(2 * i, p), Fraction(2 * (i + 1), p))
+                yield pl_max(d1[i], d2[i]), window, "window-max cover"
+
     params = tuple(x for x in (core, p, q) if x is not None)
-    if core is not None:
-        tr = truncated_upsilon(semigroup_of(core))
-        if tr != tr.reflect():
-            t = _first_difference(tr, tr.reflect())
-            return _failed("lemma18", params, t, tr(t), tr.reflect()(t))
-    if p is not None and q is not None:
-        d1, d2, d3, d4 = (upsilon_delta(p, q, variant) for variant in (1, 2, 3, 4))
-        ups_t = upsilon_from_semigroup(torus_semigroup(p, q))
-        for i in range(p):
-            for name, got, want in (
-                ("variant3", d3[i], d1[p - 1 - i].reflect()),
-                ("variant4", d4[i], d2[p - 1 - i].reflect()),
-            ):
-                if got != want:
-                    t = _first_difference(got, want)
-                    return _failed("lemma18", params, t, got(t), want(t), note=name)
-            t0, t1 = Fraction(2 * i, p), Fraction(2 * (i + 1), p)
-            cover = pl_max(d1[i], d2[i])
-            want = ups_t.restrict(t0, t1)
-            if cover != want:
-                t = _first_difference(cover, want)
-                return _failed("lemma18", params, t, cover(t), want(t), note="window-max cover")
-    return _passed("lemma18", params)
+    return _report("lemma18", params, claims())
 
 
 def check_torus_integral(p: int, q: int, emit_note: bool = False) -> VerificationReport:
     """Exact integration equals -(pq - sum a_i)/3, and the value is unchanged
     under re-expanding the continued fraction with trailing 1."""
-    params = (p, q)
-    direct = upsilon_from_semigroup(torus_semigroup(p, q)).integral()
-    closed = torus_integral_from_cf(p, q)
-    note = NORMALIZATION_NOTE if emit_note else None
-    if direct != closed:
-        return _failed("prop8", params, None, direct, closed, note)
-    cf = continued_fraction(q, p)
-    if cf.coefficients[-1] >= 2 or len(cf.coefficients) == 1:
-        alt = continued_fraction_of(cf.coefficients[:-1] + (cf.coefficients[-1] - 1, 1))
-        if alt.value() != Fraction(q, p):
-            return _failed("prop8", params, None, alt.value(), Fraction(q, p), note)
-        if alt.coefficient_sum() != cf.coefficient_sum():
-            return _failed("prop8", params, None, alt.coefficient_sum(), cf.coefficient_sum(), note)
-        lhs = staircase_sum(zip(alt.coefficients, alt.tail_denominators))
-        rhs = upsilon_from_semigroup(torus_semigroup(p, q))
-        if lhs != rhs:
-            t = _first_difference(lhs, rhs)
-            return _failed("prop8", params, t, lhs(t), rhs(t), note)
-    return _passed("prop8", params, note)
+    ups = upsilon_from_semigroup(torus_semigroup(p, q))
+
+    def claims():
+        yield ups.integral(), torus_integral_from_cf(p, q)
+        cf = continued_fraction(q, p)
+        if cf.coefficients[-1] >= 2 or len(cf.coefficients) == 1:
+            alt = continued_fraction_of(cf.coefficients[:-1] + (cf.coefficients[-1] - 1, 1))
+            yield alt.value(), Fraction(q, p)
+            yield alt.coefficient_sum(), cf.coefficient_sum()
+            yield staircase_sum(zip(alt.coefficients, alt.tail_denominators)), ups
+
+    return _report("prop8", (p, q), claims(), NORMALIZATION_NOTE if emit_note else None)
 
 
 def check_iterated_integral(tower: KnotExpr) -> VerificationReport:
     """Integral additivity along a plain-sum tower, against direct
     integration of both the oracle and the formula assembly."""
-    params = (tower,)
     recursive = iterated_cable_integral(tower)
-    oracle = knot_upsilon(tower, method="oracle").integral()
-    formula = knot_upsilon(tower, method="formula").integral()
-    if not (recursive == oracle == formula):
-        return _failed("thm9", params, None, recursive, f"direct {oracle}, formula {formula}")
-    return _passed("thm9", params)
+    return _report("thm9", (tower,), [
+        (recursive, knot_upsilon(tower, method="oracle").integral(), "oracle"),
+        (recursive, knot_upsilon(tower, method="formula").integral(), "formula"),
+    ])
 
 
 def check_staircase(p: int, q: int) -> VerificationReport:
     """Staircase decomposition, the one-step recurrence, and the two
     continued-fraction coefficient identities."""
-    params = (p, q)
-    pairs = torus_upsilon_decomposition(p, q)  # raises if reconstruction fails
-    ups = upsilon_from_semigroup(torus_semigroup(p, q))
-    rebuilt = staircase_sum(pairs)
-    if rebuilt != ups:
-        t = _first_difference(rebuilt, ups)
-        return _failed("fk", params, t, rebuilt(t), ups(t))
-    if q > p >= 1 and gcd(p, q) == 1 and q - p >= 1:
-        step = pl_add(
-            upsilon_from_semigroup(torus_semigroup(p, q - p)),
-            staircase_sum([(1, p)]),
-        )
-        if step != ups:
-            t = _first_difference(step, ups)
-            return _failed("fk", params, t, step(t), ups(t), note="recurrence")
     cf = continued_fraction(q, p)
-    lhs1 = sum(a * d * (d - 1) for a, d in zip(cf.coefficients, cf.tail_denominators))
-    if lhs1 != (p - 1) * (q - 1):
-        return _failed("fk", params, None, lhs1, (p - 1) * (q - 1), note="derivative identity")
-    lhs2 = sum(a * d for a, d in zip(cf.coefficients, cf.tail_denominators))
-    if lhs2 != q + p - 1:
-        return _failed("fk", params, None, lhs2, q + p - 1, note="weighted denominator sum")
-    return _passed("fk", params)
+    pairs = list(zip(cf.coefficients, cf.tail_denominators))
+    ups = upsilon_from_semigroup(torus_semigroup(p, q))
+
+    def claims():
+        yield staircase_sum(pairs), ups
+        if q > p:
+            step = pl_add(upsilon_from_semigroup(torus_semigroup(p, q - p)), staircase_sum([(1, p)]))
+            yield step, ups, "recurrence"
+        yield sum(a * d * (d - 1) for a, d in pairs), (p - 1) * (q - 1), "derivative identity"
+        yield sum(a * d for a, d in pairs), q + p - 1, "weighted denominator sum"
+
+    return _report("fk", (p, q), claims())
 
 
 def check_cable_semigroup(core: KnotExpr, p: int, q: int) -> VerificationReport:
@@ -318,29 +266,21 @@ def check_cable_semigroup(core: KnotExpr, p: int, q: int) -> VerificationReport:
     except (ValueError, NotLSpaceError) as exc:
         return _failed("wang", params, None, "construction", "valid semigroup", note=str(exc))
     lhs = alexander_from_semigroup(cab)
-    comp = alexander_from_semigroup(s)
     tor = alexander_from_semigroup(torus_semigroup(p, q))
-    prod = _poly_mul(_poly_stretch(comp.coefficients, p), tor.coefficients)
-    if tuple(prod) != lhs.coefficients:
-        return _failed("wang", params, None, lhs, prod, note="alexander factorization")
-    if semigroup_from_alexander(lhs) != cab:
-        return _failed("wang", params, None, semigroup_from_alexander(lhs), cab, note="round trip")
-    return _passed("wang", params)
+    prod = _stretch_mul(alexander_from_semigroup(s).coefficients, p, tor.coefficients)
+    return _report("wang", params, [
+        (lhs.coefficients, tuple(prod), "alexander factorization"),
+        (semigroup_from_alexander(lhs), cab, "round trip"),
+    ])
 
 
-def _poly_stretch(coeffs, p: int) -> list[int]:
-    out = [0] * ((len(coeffs) - 1) * p + 1)
-    for k, c in enumerate(coeffs):
-        out[k * p] = c
-    return out
-
-
-def _poly_mul(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
+def _stretch_mul(a, p: int, b) -> list[int]:
+    """Coefficients of a(t^p) * b(t)."""
+    out = [0] * ((len(a) - 1) * p + len(b))
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
+                out[i * p + j] += x * y
     return out
 
 
@@ -348,40 +288,35 @@ def check_structure(k: KnotExpr) -> VerificationReport:
     """Structural facts about one knot's Upsilon: convexity, zero endpoints,
     reflection symmetry, tau = genus, and the truncated envelope lying below
     with equality on the middle band."""
-    params = (k,)
     ups = knot_upsilon(k, method="both")
-    if not ups.is_convex():
-        return _failed("symmetry", params, None, "slopes", "nondecreasing", note="convexity")
-    if ups(Fraction(0)) != 0 or ups(Fraction(2)) != 0:
-        return _failed("symmetry", params, Fraction(0), ups(Fraction(0)), 0, note="endpoints")
-    if ups != ups.reflect():
-        t = _first_difference(ups, ups.reflect())
-        return _failed("symmetry", params, t, ups(t), ups.reflect()(t), note="reflection")
-    g = genus(k)
-    tau = -ups.initial_slope()
-    if tau != g:
-        return _failed("symmetry", params, None, tau, g, note="tau vs genus")
-    if not isinstance(k, Unknot):
+
+    def claims():
+        if not ups.is_convex():
+            yield "slopes", "nondecreasing", "convexity"
+        yield ups(0), 0, "endpoints", Fraction(0)
+        yield ups(2), 0, "endpoints", Fraction(2)
+        yield ups, ups.reflect(), "reflection"
+        yield -ups.initial_slope(), genus(k), "tau vs genus"
+        if isinstance(k, Unknot):
+            return
         s = semigroup_of(k)
         tr = truncated_upsilon(s)
         for t in merged_grid(ups, tr):
             if tr(t) > ups(t):
-                return _failed("symmetry", params, t, tr(t), ups(t), note="truncated exceeds full")
+                yield tr(t), ups(t), "truncated exceeds full", t
         mu = s.threshold()
-        if mu < 1 and tr.restrict(mu, 2 - mu) != ups.restrict(mu, 2 - mu):
-            t = _first_difference(tr.restrict(mu, 2 - mu), ups.restrict(mu, 2 - mu))
-            return _failed("symmetry", params, t, tr(t), ups(t), note="middle-band equality")
-        if mu == 1 and tr(mu) != ups(mu):
-            return _failed("symmetry", params, mu, tr(mu), ups(mu), note="middle-band equality")
-    return _passed("symmetry", params)
+        if mu < 1:
+            yield tr.restrict(mu, 2 - mu), ups.restrict(mu, 2 - mu), "middle-band equality"
+        elif mu == 1:
+            yield tr(mu), ups(mu), "middle-band equality", mu
+
+    return _report("symmetry", (k,), claims())
 
 
 def check_dedekind(p: int, q: int) -> VerificationReport:
     """4(s(q,p) + s(p,q) - s(1,pq)) equals the closed-form signature integral."""
-    params = (p, q)
     lhs = 4 * (dedekind_sum(q, p) + dedekind_sum(p, q) - dedekind_sum(1, p * q))
-    rhs = signature_integral_torus(p, q)
-    return _compare_values("dedekind", params, lhs, rhs)
+    return _report("dedekind", (p, q), [(lhs, signature_integral_torus(p, q))])
 
 
 _CHECKERS = {

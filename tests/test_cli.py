@@ -1,13 +1,17 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import upsilon
 from upsilon.cli import main
+from upsilon.pl import PLFunction
 
 
 def run(capsys, *argv):
@@ -171,10 +175,44 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == "(0,0) (1,-1) (2,0)\n"
 
 
-def test_no_crosscheck_env(monkeypatch, capsys):
-    monkeypatch.setenv("UPSILON_NO_CROSSCHECK", "1")
-    code, out, _ = run(capsys, "upsilon", "cable(torus(3,7);3,35)", "--eval", "5/7")
+def test_method_oracle_eval(capsys):
+    code, out, _ = run(
+        capsys, "upsilon", "cable(torus(3,7);3,35)", "--eval", "5/7", "--method", "oracle"
+    )
     assert code == 0 and out == "-169/7\n"
+
+
+def test_crosscheck_failure_names_witness(monkeypatch, capsys):
+    wrong = PLFunction(((0, 0), (2, 0)))
+    monkeypatch.setattr("upsilon.invariant._windowed_formula", lambda s, params: wrong)
+    code, out, err = run(capsys, "upsilon", "cable(torus(3,7);3,35)")
+    assert (code, out) == (1, "")
+    assert "internal consistency failure" in err and "at t =" in err
+    assert "Traceback" not in err
+
+
+# default `verify <tag>` output: exit 0, line count and sha256 of stdout
+VERIFY_DEFAULTS = [
+    ("thm-main", 169, "0367872d111da224bcbc605a342dfdc0b8be4f7592db2bd1793e28b6a207cf69"),
+    ("thm-s", 23, "f28751472af34a104b544d29ddf2be7363cbd3d874cb46d71dacd82de21e030b"),
+    ("thm-cor", 23, "4f73dc8cb67079490fc37e6bc2ae14f62c5bf83136eed2b0f2193c20394d2143"),
+    ("sandwich", 23, "d5d3bb9c23e87ce830e221a3fa20fe8ae29a1fe7bd2074c7cd37abcfbf08a6d4"),
+    ("lemma18", 28, "9be19bc28efabb0c16fe75d23b23e58584fe029593cb4c7a9cf927895fee5c7a"),
+    ("prop8", 5, "e363f9b6d0fa9b02dd0c9a5e2ab857fdd27c508b62e68c00610dca43172cb6b4"),
+    ("thm9", 10, "3523399c27dc54121f528caf3c666b4ed6dbdea20ce08c0a62cc2db22883a0e6"),
+    ("fk", 5, "66ef9b0ea08cbf62b8fcd4beec5a08459c5b2698342adb3104b58a1460f9578e"),
+    ("wang", 192, "3f5350179bc42412d441122dff7d20a709b67e114eff82f85d079fb62258582e"),
+    ("symmetry", 25, "385428f78de4a5078fbaa46b30ef73734a4aad4b92e48af11f308984b4639e72"),
+    ("dedekind", 5, "b1be489348d31e7727a29c459cd0ea727171d94e19ae1c04d7bd6d14b227bd67"),
+]
+
+
+@pytest.mark.parametrize("tag,lines,digest", VERIFY_DEFAULTS)
+def test_verify_default_output_pinned(capsys, tag, lines, digest):
+    code, out, err = run(capsys, "verify", tag)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_method_flag(capsys):

@@ -199,6 +199,19 @@ def test_iterated_cable_integral_identity_level():
     assert iterated_cable_integral(Cable(Torus(2, 3), 1, 5)) == -1
 
 
+def test_deep_tower_repr_hash_eq_and_integral():
+    expr = "torus(2,3)"
+    for _ in range(1500):
+        expr = f"cable({expr};1,7)"
+    k, k2 = parse_knot(expr), parse_knot(expr)
+    assert repr(k).startswith("Cable(companion=" * 1500 + "Torus(p=2, q=3), p=1, q=7)")
+    assert k == k2 and hash(k) == hash(k2)
+    assert k != Cable(k2.companion, 1, 9)
+    assert iterated_cable_integral(k) == -1
+    shallow = Cable(Cable(Torus(2, 3), 2, 5), 2, 17)
+    assert repr(shallow) == "Cable(companion=Cable(companion=Torus(p=2, q=3), p=2, q=5), p=2, q=17)"
+
+
 def test_staircase_decomposition():
     assert torus_upsilon_decomposition(3, 7) == [(2, 3), (3, 1)]
     two_t34 = staircase_sum([(2, 3)])

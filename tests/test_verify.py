@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from upsilon.errors import AssemblyError
+from upsilon.invariant import cable_upsilon
 from upsilon.knots import Cable, Pretzel, Torus, parse_knot
-from upsilon.pl import PLFunction
+from upsilon.pl import PLFunction, first_difference
 from upsilon.verify import (
     NORMALIZATION_NOTE,
     VerificationReport,
-    _compare_pl,
+    _report,
     check_dedekind,
     check_torus_integral,
     identity_tags,
@@ -98,7 +100,7 @@ def test_dedekind_identity():
 
 def test_failure_reports_carry_witness():
     tent = PLFunction(((0, 0), (1, -1), (2, 0)))
-    report = _compare_pl("demo", ("x",), tent, tent.shifted(-1))
+    report = _report("demo", ("x",), [(tent, tent.shifted(-1))])
     assert report.status == "fail"
     assert report.witness_t is not None
     lhs, rhs = F(report.lhs), F(report.rhs)
@@ -115,7 +117,7 @@ def test_report_json_schema():
         "status": "pass",
         "witness_t": None,
     }
-    failing = _compare_pl("demo", (1,), PLFunction(((0, 0), (2, 0))), PLFunction(((0, 0), (2, 2))))
+    failing = _report("demo", (1,), [(PLFunction(((0, 0), (2, 0))), PLFunction(((0, 0), (2, 2))))])
     payload = json.loads(failing.to_json())
     assert payload["status"] == "fail"
     assert payload["witness_t"] == "2/1"
@@ -125,3 +127,55 @@ def test_report_json_schema():
 def test_report_passed_property():
     assert VerificationReport("x", (), "pass").passed
     assert not VerificationReport("x", (), "fail").passed
+
+
+def test_report_takes_first_failing_claim_and_stops():
+    def claims():
+        yield 1, 1
+        yield 2, 3, "second", F(1, 2)
+        raise AssertionError("claims after a failing one must not be computed")
+
+    report = _report("demo", (), claims(), note="report note")
+    assert (report.status, report.witness_t, report.lhs, report.rhs) == ("fail", F(1, 2), "2", "3")
+    assert report.note == "second"
+
+
+def test_report_note_falls_back_to_report_level():
+    assert _report("demo", (), [(1, 1)], note="n").note == "n"
+    assert _report("demo", (), [(1, 2)], note="n").note == "n"
+    assert _report("demo", (), [(1, 2, None, F(0))]).witness_t == F(0)
+
+
+def test_first_difference():
+    tent = PLFunction(((0, 0), (1, -1), (2, 0)))
+    assert first_difference(tent, tent) is None
+    assert first_difference(tent, PLFunction(((0, 0), (1, -1), (2, 1)))) == 2
+    assert first_difference(tent, tent.restrict(F(1, 2), 2)) == 0
+
+
+def test_symmetry_endpoint_failure_names_the_failing_endpoint(monkeypatch):
+    monkeypatch.setattr("upsilon.verify.knot_upsilon", lambda k, method: PLFunction(((0, 0), (2, -1))))
+    report = verify_identity("symmetry", parse_knot("torus(2,3)"))
+    payload = json.loads(report.to_json())
+    assert payload["witness_t"] == "2/1"
+    assert (payload["lhs"], payload["rhs"], payload["note"]) == ("-1", "0", "endpoints")
+
+
+def test_broken_staircase_is_a_failed_report_with_witness(monkeypatch):
+    monkeypatch.setattr("upsilon.verify.staircase_sum", lambda pairs: PLFunction(((0, 0), (2, 0))))
+    report = verify_identity("fk", 3, 7)
+    assert not report.passed and report.witness_t is not None and report.note is None
+    assert F(report.lhs) == 0 != F(report.rhs)
+
+
+def test_plain_sum_assembly_error_is_a_failed_report(monkeypatch):
+    def broken(core, p, q, method):
+        if method == "formula":
+            raise AssemblyError("jump at t = 1/2")
+        return cable_upsilon(core, p, q, method)
+
+    monkeypatch.setattr("upsilon.verify.cable_upsilon", broken)
+    report = verify_identity("thm-main", Torus(2, 3), 2, 5)
+    assert (report.status, report.lhs, report.rhs, report.note) == (
+        "fail", "assembly", "oracle", "jump at t = 1/2"
+    )
