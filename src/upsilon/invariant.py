@@ -8,6 +8,9 @@ is the upper envelope of the 2g+1 lines
 That envelope, applied to the cable semigroup produced by the p*S + q*Z>=0
 construction, is the oracle path used to verify every cabling formula here.
 Every envelope here is ``envelope`` over an inclusive range of line indices.
+It sweeps only the lines that can reach the hull (the range ends, the starts
+of runs of S and 2g), in integers; the result equals the envelope of every
+line in the range.
 
 The formula paths, selected by ``classify_cable`` (defined in ``semigroup``):
 
@@ -23,6 +26,7 @@ The formula paths, selected by ``classify_cable`` (defined in ``semigroup``):
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
 
@@ -68,20 +72,35 @@ def upsilon_line(s: FormalSemigroup, m: int) -> Line:
 
 
 def _line(s: FormalSemigroup, m: int) -> Line:
-    return Line(Fraction(m - s.genus), Fraction(-2 * s.count_below(m)))
+    return Line(m - s.genus, -2 * s.count_below(m))
 
 
 def envelope(s: FormalSemigroup, m_lo: int, m_hi: int, t0=0, t1=2) -> PLFunction:
     """Upper envelope on [t0, t1] of the lines indexed m_lo .. m_hi inclusive.
 
     Indices outside [0, 2g] are allowed: count_below is affine there, so
-    every integer index yields a meaningful line.
+    every integer index yields a meaningful line.  On [0, 2] line m lies
+    weakly below line m+1 when m is not in S, and below line m-1 when m-1
+    is in S, so only the range ends, the starts of runs of S and 2g are
+    swept; the envelope is that of the whole range.
     """
-    return upper_envelope((_line(s, m) for m in range(m_lo, m_hi + 1)), t0, t1)
+    g, small = s.genus, s.small_elements
+    lines = [_line(s, m) for m in {m_lo, 2 * g, m_hi} if m_lo <= m <= m_hi]
+    # a member's count_below is its index in small_elements
+    lines += [
+        Line(small[i] - g, -2 * i)
+        for i in range(bisect_right(small, m_lo), bisect_left(small, m_hi))
+        if i == 0 or small[i - 1] != small[i] - 1
+    ]
+    return upper_envelope(lines, t0, t1)
 
 
 def upsilon_from_semigroup(s: FormalSemigroup) -> PLFunction:
-    """Upsilon as the upper envelope of all 2g+1 semigroup lines (the oracle)."""
+    """Upsilon as the upper envelope of all 2g+1 semigroup lines (the oracle).
+
+    Only the run-start lines and line 2g are swept; the others lie below them
+    on [0, 2], so the envelope equals that of all 2g+1 lines.
+    """
     return envelope(s, 0, 2 * s.genus)
 
 
@@ -118,10 +137,10 @@ def upsilon_delta(p: int, q: int, variant: int) -> tuple[PLFunction, ...]:
     delta = params.delta
     lo, hi = {1: (-delta, 0), 2: (-p, -delta), 3: (-p, delta - p), 4: (delta - p, 0)}[variant]
     st = torus_semigroup(p, q)
-    return tuple(
+    return tuple([
         envelope(st, i * q + lo + 1, i * q + hi, Fraction(2 * i, p), Fraction(2 * (i + 1), p))
         for i in range(p)
-    )
+    ])
 
 
 def _windowed_formula(s: FormalSemigroup, params: CableParams) -> PLFunction:

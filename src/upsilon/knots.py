@@ -88,7 +88,7 @@ class Cable:
 
     def _key(self):
         core, levels = _unwind(self)
-        return core, tuple((c.p, c.q) for c in levels)
+        return core, tuple([(c.p, c.q) for c in levels])
 
     def __eq__(self, other):
         return isinstance(other, Cable) and self._key() == other._key()
@@ -290,7 +290,7 @@ class ContinuedFraction:
 
 def continued_fraction_of(coefficients) -> ContinuedFraction:
     """Build a ContinuedFraction from an explicit coefficient list."""
-    coeffs = tuple(int(a) for a in coefficients)
+    coeffs = tuple([int(a) for a in coefficients])
     if not coeffs or any(a < 0 for a in coeffs) or any(a == 0 for a in coeffs[1:]):
         raise ValueError(f"invalid continued fraction coefficients {coeffs}")
     num, den = 1, 0

@@ -36,14 +36,16 @@ def _collinear(a, b, c) -> bool:
 
 @dataclass(frozen=True)
 class Line:
-    """An affine function t |-> slope*t + intercept."""
+    """An affine function t |-> slope*t + intercept, with int or Fraction
+    coefficients kept as given (ints let the envelope sweep stay integral)."""
 
-    slope: Fraction
-    intercept: Fraction
+    slope: int | Fraction
+    intercept: int | Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "slope", rat(self.slope))
-        object.__setattr__(self, "intercept", rat(self.intercept))
+        for x in (self.slope, self.intercept):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
     def at(self, t) -> Fraction:
         return self.slope * rat(t) + self.intercept
@@ -108,10 +110,10 @@ class PLFunction:
         return (v1 - v0) / (t1 - t0)
 
     def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(
+        return tuple([
             (v1 - v0) / (t1 - t0)
             for (t0, v0), (t1, v1) in zip(self.breakpoints, self.breakpoints[1:])
-        )
+        ])
 
     def is_convex(self) -> bool:
         s = self.slopes()
@@ -130,7 +132,7 @@ class PLFunction:
 
     def reflect(self) -> "PLFunction":
         """The substitution t |-> 2 - t; maps domain [a, b] to [2-b, 2-a]."""
-        return PLFunction(tuple((2 - t, v) for t, v in reversed(self.breakpoints)))
+        return PLFunction(tuple([(2 - t, v) for t, v in reversed(self.breakpoints)]))
 
     def integral(self) -> Fraction:
         """Exact integral over the domain (trapezoid sum piece by piece)."""
@@ -141,13 +143,13 @@ class PLFunction:
 
     def shifted(self, dv) -> "PLFunction":
         dv = rat(dv)
-        return PLFunction(tuple((t, v + dv) for t, v in self.breakpoints))
+        return PLFunction(tuple([(t, v + dv) for t, v in self.breakpoints]))
 
     def scaled(self, c) -> "PLFunction":
         c = rat(c)
         if c == 0:
             return PLFunction(((self.lo, _ZERO), (self.hi, _ZERO)))
-        return PLFunction(tuple((t, c * v) for t, v in self.breakpoints))
+        return PLFunction(tuple([(t, c * v) for t, v in self.breakpoints]))
 
     def __add__(self, other):
         if not isinstance(other, PLFunction):
@@ -170,10 +172,10 @@ class PLFunction:
     @classmethod
     def from_json(cls, text: str) -> "PLFunction":
         data = json.loads(text)
-        pts = tuple(
+        pts = tuple([
             (Fraction(int(tn), int(td)), Fraction(int(vn), int(vd)))
             for tn, td, vn, vd in data["breakpoints"]
-        )
+        ])
         return cls(pts)
 
     def to_csv(self) -> str:
@@ -194,12 +196,15 @@ def upper_envelope(lines: Iterable[Line], lo=_ZERO, hi=_TWO) -> PLFunction:
     """Pointwise maximum of affine functions over [lo, hi], exactly.
 
     Sorts by slope (ties keep the larger intercept) and runs one convex-chain
-    sweep, so the output is convex and canonical.
+    sweep, so the output is convex and canonical.  Cuts are kept as
+    (numerator, denominator > 0) pairs and compared by cross-multiplication,
+    so integer lines are swept in integers; Fractions are built only for the
+    output breakpoints.
     """
     lo, hi = rat(lo), rat(hi)
     if not (0 <= lo < hi <= 2):
         raise ValueError(f"invalid envelope domain [{lo}, {hi}]")
-    best: dict[Fraction, Line] = {}
+    best: dict[int | Fraction, Line] = {}
     for L in lines:
         cur = best.get(L.slope)
         if cur is None or L.intercept > cur.intercept:
@@ -207,30 +212,34 @@ def upper_envelope(lines: Iterable[Line], lo=_ZERO, hi=_TWO) -> PLFunction:
     if not best:
         raise ValueError("no lines")
     hull: list[Line] = []
-    cuts: list[Fraction] = []  # cuts[j]: abscissa where hull[j+1] overtakes hull[j]
-    for L in (best[s] for s in sorted(best)):
+    # cuts[j] = (num, den): hull[j+1] overtakes hull[j] at num/den
+    cuts: list[tuple[int | Fraction, int | Fraction]] = []
+    for L in [best[s] for s in sorted(best)]:
         while hull:
             top = hull[-1]
-            x = (top.intercept - L.intercept) / (L.slope - top.slope)
-            if cuts and x <= cuts[-1]:
+            num, den = top.intercept - L.intercept, L.slope - top.slope
+            if cuts and num * cuts[-1][1] <= cuts[-1][0] * den:
                 hull.pop()
                 cuts.pop()
                 continue
             hull.append(L)
-            cuts.append(x)
+            cuts.append((num, den))
             break
         else:
             hull.append(L)
     # hull[j] is active on [cuts[j-1], cuts[j]]; len(cuts) == len(hull) - 1
-    k = bisect_right(cuts, lo)
+    k = 0
+    while k < len(cuts) and cuts[k][0] * lo.denominator <= lo.numerator * cuts[k][1]:
+        k += 1
     pts = [(lo, hull[k].at(lo))]
-    for j in range(k, len(cuts)):
-        x = cuts[j]
-        if x >= hi:
-            break
-        if x > lo:
-            pts.append((x, hull[j + 1].at(x)))
-    pts.append((hi, hull[bisect_right(cuts, hi)].at(hi)))
+    while k < len(cuts) and cuts[k][0] * hi.denominator < hi.numerator * cuts[k][1]:
+        num, den = cuts[k]
+        L = hull[k + 1]
+        pts.append((Fraction(num, den), Fraction(L.slope * num + L.intercept * den, den)))
+        k += 1
+    while k < len(cuts) and cuts[k][0] * hi.denominator <= hi.numerator * cuts[k][1]:
+        k += 1
+    pts.append((hi, hull[k].at(hi)))
     return PLFunction(tuple(pts))
 
 
@@ -253,7 +262,7 @@ def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:
     if f.domain != g.domain:
         raise ValueError(f"domain mismatch: {f.domain} vs {g.domain}")
     ts = merged_grid(f, g)
-    return PLFunction(tuple((t, f(t) + g(t)) for t in ts))
+    return PLFunction(tuple([(t, f(t) + g(t)) for t in ts]))
 
 
 def pl_max(f: PLFunction, g: PLFunction) -> PLFunction:
@@ -282,7 +291,7 @@ def compress_into_window(f: PLFunction, p: int, i: int) -> PLFunction:
     """
     if p < 1 or not (0 <= i < p):
         raise ValueError(f"bad window index {i} for p = {p}")
-    return PLFunction(tuple((Fraction(2 * i + s, p), v) for s, v in f.breakpoints))
+    return PLFunction(tuple([(Fraction(2 * i + s, p), v) for s, v in f.breakpoints]))
 
 
 def amalgamate(f: PLFunction, p: int) -> PLFunction:

@@ -36,7 +36,7 @@ class FormalSemigroup:
 
     def __post_init__(self):
         g = self.genus
-        elems = tuple(int(e) for e in self.small_elements)
+        elems = tuple([int(e) for e in self.small_elements])
         object.__setattr__(self, "small_elements", elems)
         if g < 0:
             raise ValueError("genus must be non-negative")
@@ -79,7 +79,7 @@ class FormalSemigroup:
         return bisect_left(self.small_elements, m)
 
     def gaps(self) -> tuple[int, ...]:
-        return tuple(m for m in range(2 * self.genus) if m not in self._member_set)
+        return tuple([m for m in range(2 * self.genus) if m not in self._member_set])
 
     def elements_below(self, bound: int) -> Iterator[int]:
         for e in self.small_elements:
@@ -228,7 +228,7 @@ class AlexanderPoly:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coefficients)
+        cs = tuple([int(c) for c in self.coefficients])
         object.__setattr__(self, "coefficients", cs)
         if not cs:
             raise ValueError("empty polynomial")

@@ -100,14 +100,19 @@ def _report(identity, params, claims, note=None) -> VerificationReport:
     """The first failing claim ``(lhs, rhs[, note[, witness_t]])`` as a failed
     report, else a pass.  Claims are consumed in order, so a generator skips
     the work after a failing one.  Two PL sides are reported by their values
-    at the first abscissa where they differ.  A claim's note wins over note.
+    at the first abscissa where they differ, or by their domains, with the
+    first differing endpoint as witness, when those differ.  A claim's note
+    wins over note.
     """
     for claim in claims:
         lhs, rhs, claim_note, witness_t = (*claim, None, None)[:4]
         if lhs != rhs:
             if isinstance(lhs, PLFunction) and isinstance(rhs, PLFunction):
                 witness_t = first_difference(lhs, rhs)
-                lhs, rhs = lhs(witness_t), rhs(witness_t)
+                if lhs.domain != rhs.domain:
+                    lhs, rhs = f"[{lhs.lo}, {lhs.hi}]", f"[{rhs.lo}, {rhs.hi}]"
+                else:
+                    lhs, rhs = lhs(witness_t), rhs(witness_t)
             return _failed(identity, params, witness_t, lhs, rhs, claim_note or note)
     return _passed(identity, params, note)
 
@@ -207,7 +212,7 @@ def check_window_symmetries(
                 window = ups_t.restrict(Fraction(2 * i, p), Fraction(2 * (i + 1), p))
                 yield pl_max(d1[i], d2[i]), window, "window-max cover"
 
-    params = tuple(x for x in (core, p, q) if x is not None)
+    params = tuple([x for x in (core, p, q) if x is not None])
     return _report("lemma18", params, claims())
 
 

@@ -3,13 +3,16 @@
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upsilon.invariant import (
+    _line,
     cable_upsilon,
     classify_cable,
     CableRegime,
+    envelope,
     knot_upsilon,
     tau,
     torus_integral_from_cf,
@@ -31,6 +34,7 @@ from upsilon.pl import Line, PLFunction, amalgamate, pl_add, pl_max, upper_envel
 from upsilon.semigroup import (
     alexander_from_semigroup,
     cable_semigroup,
+    pretzel_semigroup,
     semigroup_from_alexander,
     torus_semigroup,
     unknot_semigroup,
@@ -198,3 +202,50 @@ def test_cable_formula_matches_oracle(core, p, data):
     regime = classify_cable(g, p, q).regime
     assert regime in (CableRegime.PLAIN_SUM, CableRegime.WINDOWED)
     assert cable_upsilon(core, p, q, "formula") == cable_upsilon(core, p, q, "oracle")
+
+
+@st.composite
+def semigroups(draw):
+    kind = draw(st.sampled_from(["torus", "pretzel", "cable"]))
+    if kind == "torus":
+        p, q = draw(coprime_pairs(pmax=13, qmax=59))
+        return torus_semigroup(p, q)
+    if kind == "pretzel":
+        return pretzel_semigroup(draw(st.integers(1, 39)))
+    core = draw(st.sampled_from([torus_semigroup(2, 3), torus_semigroup(3, 4),
+                                 torus_semigroup(2, 5), pretzel_semigroup(3)]))
+    p = draw(st.integers(2, 3))
+    lo = (2 * core.genus - 1) * p + 1
+    q = draw(st.integers(lo, lo + 2 * p + 6).filter(lambda q: gcd(p, q) == 1))
+    return cable_semigroup(core, p, q)
+
+
+@given(semigroups(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_envelope_matches_max_of_every_line_in_range(s, data):
+    """The run-start envelope against the exact maximum of all the range's
+    lines, computed without upper_envelope, at every breakpoint and every
+    segment midpoint (enough: both sides are convex and the envelope is
+    linear between its breakpoints)."""
+    m_lo = data.draw(st.integers(-5, 2 * s.genus + 8))
+    m_hi = data.draw(st.integers(m_lo, 2 * s.genus + 8))
+    den = data.draw(st.integers(1, 12))
+    a = data.draw(st.integers(0, 2 * den - 1))
+    b = data.draw(st.integers(a + 1, 2 * den))
+    t0, t1 = F(a, den), F(b, den)
+    env = envelope(s, m_lo, m_hi, t0, t1)
+    assert env.domain == (t0, t1)
+    ts = [t for t, _ in env.breakpoints]
+    ts += [(u + v) / 2 for u, v in zip(ts, ts[1:])]
+    every_line = [_line(s, m) for m in range(m_lo, m_hi + 1)]
+    for t in ts:
+        assert env(t) == max(line.at(t) for line in every_line)
+
+
+def test_line_stays_exact():
+    assert isinstance(Line(2, -3).slope, int)
+    assert Line(F(1, 2), 0).slope == F(1, 2)
+    with pytest.raises(TypeError):
+        Line(0.5, 0)
+    with pytest.raises(TypeError):
+        Line(0, 0.5)

@@ -146,6 +146,14 @@ def test_report_note_falls_back_to_report_level():
     assert _report("demo", (), [(1, 2, None, F(0))]).witness_t == F(0)
 
 
+def test_report_on_different_domains_fails_with_the_endpoint():
+    tent = PLFunction(((0, 0), (1, -1), (2, 0)))
+    report = _report("x", (), [(tent, tent.restrict(F(1, 2), 2))])
+    assert report.status == "fail"
+    assert report.witness_t == 0
+    assert (report.lhs, report.rhs) == ("[0, 2]", "[1/2, 2]")
+
+
 def test_first_difference():
     tent = PLFunction(((0, 0), (1, -1), (2, 0)))
     assert first_difference(tent, tent) is None
