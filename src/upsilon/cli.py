@@ -4,8 +4,9 @@ Subcommands: ``upsilon``, ``integral``, ``tau``, ``semigroup``, ``verify``.
 All numeric output is exact; the only floats ever produced are SVG pixel
 coordinates, which never feed back into any computation.
 
-Exit codes: 0 success, 2 expression parse error, 3 domain error (not an
-L-space knot / wrong cabling regime), 4 verification failure, 1 internal.
+Exit codes: 0 success, 2 expression parse error, bad --eval rational or
+unwritable --out, 3 domain error (not an L-space knot / wrong cabling
+regime), 4 verification failure, 1 internal.
 """
 
 from __future__ import annotations
@@ -26,12 +27,18 @@ from .verify import identity_tags, verify_identity
 DEFAULT_CORES = ("torus(2,3)", "torus(2,5)", "torus(3,4)", "torus(3,7)", "pretzel(3)")
 
 
-def _write(args, text: str):
-    if args.out:
+def _write(args, text: str) -> int:
+    """Write text to --out, or to stdout; exit code 2 if --out cannot be written."""
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _svg(curves) -> str:
@@ -82,43 +89,35 @@ def cmd_upsilon(args) -> int:
         except (ValueError, ZeroDivisionError):
             print(f"bad rational {args.eval!r}", file=sys.stderr)
             return 2
-        _write(args, f"{f(t)}\n")
-        return 0
+        return _write(args, f"{f(t)}\n")
     if args.format == "breakpoints-text":
-        _write(args, f"{f}\n")
-    elif args.format == "json":
-        _write(args, f.to_json() + "\n")
-    elif args.format == "csv":
-        _write(args, f.to_csv())
-    else:  # svg
-        curves = [(f, "#1f77b4")]
-        if args.overlay:
-            g = knot_upsilon(parse_knot(args.overlay), method=args.method)
-            curves.append((g, "#d62728"))
-        _write(args, _svg(curves))
-    return 0
+        return _write(args, f"{f}\n")
+    if args.format == "json":
+        return _write(args, f.to_json() + "\n")
+    if args.format == "csv":
+        return _write(args, f.to_csv())
+    curves = [(f, "#1f77b4")]  # svg
+    if args.overlay:
+        g = knot_upsilon(parse_knot(args.overlay), method=args.method)
+        curves.append((g, "#d62728"))
+    return _write(args, _svg(curves))
 
 
 def cmd_integral(args) -> int:
     k = parse_knot(args.expr)
-    _write(args, f"{upsilon_integral(k, args.method)}\n")
-    return 0
+    return _write(args, f"{upsilon_integral(k, args.method)}\n")
 
 
 def cmd_tau(args) -> int:
     k = parse_knot(args.expr)
-    _write(args, f"{tau(k, args.method)}\n")
-    return 0
+    return _write(args, f"{tau(k, args.method)}\n")
 
 
 def cmd_semigroup(args) -> int:
     k = parse_knot(args.expr)
     s = semigroup_of(k)
-    if args.format == "json":
-        _write(args, json.dumps(s.to_json_dict()) + "\n")
-    else:
-        _write(args, str(s) + "\n")
-    return 0
+    text = json.dumps(s.to_json_dict()) if args.format == "json" else str(s)
+    return _write(args, text + "\n")
 
 
 def _cores(args) -> list[KnotExpr]:
@@ -203,8 +202,8 @@ def cmd_verify(args) -> int:
         lines.append(report.to_json())
         if not report.passed:
             any_fail = True
-    _write(args, "\n".join(lines) + ("\n" if lines else ""))
-    return 4 if any_fail else 0
+    code = _write(args, "\n".join(lines) + ("\n" if lines else ""))
+    return code or (4 if any_fail else 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

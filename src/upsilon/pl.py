@@ -4,7 +4,8 @@ Every coordinate is a ``fractions.Fraction``; no float ever enters an
 invariant computation.  A function is stored as its breakpoint sequence and
 kept canonical (strictly increasing abscissae, no three consecutive collinear
 breakpoints), so structural equality coincides with pointwise equality and
-is decidable exactly.
+is decidable exactly.  Pointwise algebra (sum, maximum, first difference)
+reads both operands in one two-pointer walk over their merged breakpoints.
 """
 
 from __future__ import annotations
@@ -243,9 +244,31 @@ def upper_envelope(lines: Iterable[Line], lo=_ZERO, hi=_TWO) -> PLFunction:
     return PLFunction(tuple(pts))
 
 
-def merged_grid(*fs: PLFunction) -> list[Fraction]:
-    """The sorted union of the breakpoint abscissae of fs."""
-    return sorted({t for f in fs for t, _ in f.breakpoints})
+def _aligned(f: PLFunction, g: PLFunction):
+    """(t, f(t), g(t)) at each merged breakpoint abscissa of f and g, and at each
+    crossing f = g between two of them, in one two-pointer pass: a breakpoint's
+    stored value, else its current segment's, and crossings from those values."""
+    if f.domain != g.domain:
+        raise ValueError(f"domain mismatch: {f.domain} vs {g.domain}")
+    fp, gp = f.breakpoints, g.breakpoints
+    i = j = 0
+    t0 = f0 = d0 = 0  # d0 = 0: no crossing before the first abscissa
+    while i < len(fp):
+        (tf, vf), (tg, vg) = fp[i], gp[j]
+        if tf < tg:
+            tj, vj = gp[j - 1]
+            vg = vj + (vg - vj) * (tf - tj) / (tg - tj)
+        elif tg < tf:
+            ti, vi = fp[i - 1]
+            vf = vi + (vf - vi) * (tg - ti) / (tf - ti)
+        t, d = min(tf, tg), vf - vg
+        if (d0 > 0 > d) or (d0 < 0 < d):
+            x = d0 / (d0 - d)  # the crossing's share of [t0, t]
+            v = f0 + (vf - f0) * x
+            yield t0 + (t - t0) * x, v, v
+        yield t, vf, vg
+        t0, f0, d0 = t, vf, d
+        i, j = i + (tf <= tg), j + (tg <= tf)
 
 
 def first_difference(f: PLFunction, g: PLFunction) -> Optional[Fraction]:
@@ -254,33 +277,18 @@ def first_difference(f: PLFunction, g: PLFunction) -> Optional[Fraction]:
     differ also differ at one of those)."""
     if f.domain != g.domain:
         return f.lo if f.lo != g.lo else f.hi
-    return next((t for t in merged_grid(f, g) if f(t) != g(t)), None)
+    return next((t for t, a, b in _aligned(f, g) if a != b), None)
 
 
 def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:
-    """Pointwise sum; breakpoints are merged from both operands."""
-    if f.domain != g.domain:
-        raise ValueError(f"domain mismatch: {f.domain} vs {g.domain}")
-    ts = merged_grid(f, g)
-    return PLFunction(tuple([(t, f(t) + g(t)) for t in ts]))
+    """Pointwise sum; breakpoints are merged from both operands (the walk's
+    crossings are collinear here, so canonicalisation drops them)."""
+    return PLFunction(tuple([(t, a + b) for t, a, b in _aligned(f, g)]))
 
 
 def pl_max(f: PLFunction, g: PLFunction) -> PLFunction:
     """Pointwise maximum, with crossing points inserted exactly."""
-    if f.domain != g.domain:
-        raise ValueError(f"domain mismatch: {f.domain} vs {g.domain}")
-    ts = merged_grid(f, g)
-    pts: list[tuple[Fraction, Fraction]] = []
-    for a, b in zip(ts, ts[1:]):
-        fa, ga, fb, gb = f(a), g(a), f(b), g(b)
-        pts.append((a, max(fa, ga)))
-        da, db = fa - ga, fb - gb
-        if (da > 0 > db) or (da < 0 < db):
-            x = a + (b - a) * da / (da - db)
-            pts.append((x, f(x)))
-    t_end = ts[-1]
-    pts.append((t_end, max(f(t_end), g(t_end))))
-    return PLFunction(tuple(pts))
+    return PLFunction(tuple([(t, max(a, b)) for t, a, b in _aligned(f, g)]))
 
 
 def compress_into_window(f: PLFunction, p: int, i: int) -> PLFunction:

@@ -119,14 +119,8 @@ def torus_semigroup(p: int, q: int) -> FormalSemigroup:
     if gcd(p, q) != 1:
         raise ValueError(f"torus parameters must be coprime, got ({p}, {q})")
     two_g = (p - 1) * (q - 1)
-    small = sorted(
-        {
-            a * p + b * q
-            for a in range(two_g // p + 1)
-            for b in range(two_g // q + 1)
-            if a * p + b * q < two_g
-        }
-    )
+    # one residue class mod p per b < p: its members below 2g are b*q + a*p
+    small = sorted([m for b in range(p) for m in range(b * q, two_g, p)])
     return FormalSemigroup(two_g // 2, tuple(small))
 
 

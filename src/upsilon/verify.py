@@ -29,7 +29,6 @@ from .invariant import (
 )
 from .knots import (
     KnotExpr,
-    Unknot,
     continued_fraction,
     continued_fraction_of,
     dedekind_sum,
@@ -42,7 +41,6 @@ from .pl import (
     amalgamate,
     compress_into_window,
     first_difference,
-    merged_grid,
     pl_add,
     pl_max,
 )
@@ -88,10 +86,6 @@ class VerificationReport:
         return json.dumps(payload)
 
 
-def _passed(identity, params, note=None) -> VerificationReport:
-    return VerificationReport(identity, tuple(params), "pass", note=note)
-
-
 def _failed(identity, params, witness_t, lhs, rhs, note=None) -> VerificationReport:
     return VerificationReport(identity, tuple(params), "fail", witness_t, str(lhs), str(rhs), note)
 
@@ -114,7 +108,7 @@ def _report(identity, params, claims, note=None) -> VerificationReport:
                 else:
                     lhs, rhs = lhs(witness_t), rhs(witness_t)
             return _failed(identity, params, witness_t, lhs, rhs, claim_note or note)
-    return _passed(identity, params, note)
+    return VerificationReport(identity, tuple(params), "pass", note=note)
 
 
 def _require_regime(regime: CableRegime, companion_genus: int, core: KnotExpr, p: int, q: int):
@@ -172,20 +166,18 @@ def check_windowed_cable(core: KnotExpr, p: int, q: int) -> VerificationReport:
 
 
 def check_sandwich(core: KnotExpr, p: int, q: int) -> VerificationReport:
-    """upper = torus term + companion Upsilon, lower = torus term + truncated:
-    upper >= cable >= lower at every breakpoint of all three functions."""
-    params = (core, p, q)
+    """upper (torus term + companion Upsilon) >= cable >= lower (torus term +
+    truncated), as max(cable, upper) = upper and max(lower, cable) = cable."""
     s = semigroup_of(core)
     _require_regime(CableRegime.WINDOWED, s.genus, core, p, q)
     cable = cable_upsilon(core, p, q, method="oracle")
     ups_t = upsilon_from_semigroup(torus_semigroup(p, q))
     upper = pl_add(amalgamate(upsilon_from_semigroup(s), p), ups_t)
     lower = pl_add(amalgamate(truncated_upsilon(s), p), ups_t)
-    for t in merged_grid(cable, upper, lower):
-        hi, mid, lo = upper(t), cable(t), lower(t)
-        if not (hi >= mid >= lo):
-            return _failed("sandwich", params, t, f"{hi} >= {mid} >= {lo}", "monotone chain")
-    return _passed("sandwich", params)
+    return _report("sandwich", (core, p, q), [
+        (pl_max(cable, upper), upper, "cable exceeds upper"),
+        (pl_max(lower, cable), cable, "lower exceeds cable"),
+    ])
 
 
 def check_window_symmetries(
@@ -302,13 +294,11 @@ def check_structure(k: KnotExpr) -> VerificationReport:
         yield ups(2), 0, "endpoints", Fraction(2)
         yield ups, ups.reflect(), "reflection"
         yield -ups.initial_slope(), genus(k), "tau vs genus"
-        if isinstance(k, Unknot):
-            return
         s = semigroup_of(k)
+        if s.genus == 0:
+            return
         tr = truncated_upsilon(s)
-        for t in merged_grid(ups, tr):
-            if tr(t) > ups(t):
-                yield tr(t), ups(t), "truncated exceeds full", t
+        yield pl_max(tr, ups), ups, "truncated exceeds full"
         mu = s.threshold()
         if mu < 1:
             yield tr.restrict(mu, 2 - mu), ups.restrict(mu, 2 - mu), "middle-band equality"

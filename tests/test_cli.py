@@ -175,6 +175,14 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == "(0,0) (1,-1) (2,0)\n"
 
 
+def test_unwritable_out_exits_2_without_traceback(tmp_path):
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = _console("upsilon", "torus(2,3)", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and str(target) in err
+
+
 def test_method_oracle_eval(capsys):
     code, out, _ = run(
         capsys, "upsilon", "cable(torus(3,7);3,35)", "--eval", "5/7", "--method", "oracle"
@@ -220,3 +228,42 @@ def test_method_flag(capsys):
         code, out, _ = run(capsys, "upsilon", "cable(torus(2,3);2,3)", "--method", method)
         assert code == 0
         assert out == "(0,0) (2/3,-2) (4/3,-2) (2,0)\n"
+
+
+# every compute subcommand on small knots of each kind (torus, pretzel, a
+# cable in each regime, two-level towers): exit 0, line count and sha256 of
+# the concatenated stdout
+COMPUTE_KNOTS = [
+    ("unknot", 55, "75e0fe2131c74fafc608751dbaf64632e5b923d2c43458da2ab2fc9a689c19d2"),
+    ("torus(2,3)", 70, "e78b6ac82c8411a1005bc781ebff096ad6d0c734267ac2d8dad3b3940519063e"),
+    ("torus(5,6)", 103, "8e3b3c2ecc1e5cf2c649c8ce6c1099006e13d86cb617886202dcbe9e6a171b20"),
+    ("pretzel(3)", 94, "137d27329f055fa465be4b015e47a68dcf23334038e64c2ada62f8bc8ea74a95"),
+    ("cable(torus(2,3);2,5)", 79, "96eda2e98f0f5395b3f01021c8b5161dd2dccdb7ead10ad7d114d3d90ca7793f"),
+    ("cable(torus(2,3);2,3)", 79, "664d5a7b9b5c8099166d99ea9524424a4b0f60ac8c489ecfd3d6a6bd9c6e9492"),
+    ("cable(torus(3,4);3,17)", 142, "4b742b90a1001daf9e1bf966f73a0ec8af8539bc0a2f49319453463fcb2f11f5"),
+    ("cable(pretzel(3);2,19)", 127, "dda1f1b05de80ca02d0cdad527a95c10a38537588e41a3a75e03cca01248f27d"),
+    ("cable(cable(torus(2,3);2,5);2,17)", 103, "7880cbc8712636f213aca6c9ec4cb92c2453cbd542a6354c91d4e4dfc6fa444d"),
+    ("cable(cable(torus(2,3);2,5);2,15)", 103, "4a93f910531b7e557027c31a065538002a8567823bcc9e6df050be5482ea690a"),
+]
+
+
+def _compute_commands(knot):
+    for fmt in ("breakpoints-text", "json", "csv", "svg"):
+        for method in ("formula", "oracle", "both"):
+            yield "upsilon", knot, "--format", fmt, "--method", method
+    yield "upsilon", knot, "--eval", "5/7"
+    yield "integral", knot
+    yield "tau", knot
+    yield "semigroup", knot, "--format", "json"
+
+
+@pytest.mark.parametrize("knot,lines,digest", COMPUTE_KNOTS)
+def test_compute_output_pinned(capsys, knot, lines, digest):
+    outs = []
+    for argv in _compute_commands(knot):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        outs.append(out)
+    text = "".join(outs)
+    assert text.count("\n") == lines
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

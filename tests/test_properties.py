@@ -30,7 +30,7 @@ from upsilon.knots import (
     semigroup_of,
     signature_integral_torus,
 )
-from upsilon.pl import Line, PLFunction, amalgamate, pl_add, pl_max, upper_envelope
+from upsilon.pl import Line, PLFunction, amalgamate, first_difference, pl_add, pl_max, upper_envelope
 from upsilon.semigroup import (
     alexander_from_semigroup,
     cable_semigroup,
@@ -109,12 +109,36 @@ def test_envelope_is_pointwise_max(ls, data):
 @given(pl_functions(), st.data())
 def test_add_and_max_are_pointwise(f, data):
     lo, hi = f.domain
-    g_raw = data.draw(pl_functions())
-    # remap g affinely onto f's domain so the operation is defined
-    g_lo, g_hi = g_raw.domain
-    g = PLFunction(
-        tuple((lo + (hi - lo) * (t - g_lo) / (g_hi - g_lo), v) for t, v in g_raw.breakpoints)
-    )
+    f_ts = [t for t, _ in f.breakpoints]
+    if data.draw(st.booleans()):
+        # g on some of f's own abscissae, often touching f there: shared
+        # breakpoints, and crossings that fall on a breakpoint
+        inner = sorted(data.draw(st.sets(st.sampled_from(f_ts[1:-1])))) if len(f_ts) > 2 else []
+        g = PLFunction(tuple(
+            (t, data.draw(st.sampled_from([f(t), f(t) + 1, f(t) - 1]) | rationals))
+            for t in [lo, *inner, hi]
+        ))
+    else:
+        g_raw = data.draw(pl_functions())
+        # remap g affinely onto f's domain so the operation is defined
+        g_lo, g_hi = g_raw.domain
+        g = PLFunction(
+            tuple((lo + (hi - lo) * (t - g_lo) / (g_hi - g_lo), v) for t, v in g_raw.breakpoints)
+        )
+    # reference: the sorted union of abscissae, evaluated with __call__, and
+    # for the max the crossings inside each merged segment
+    grid = sorted(set(f_ts) | {t for t, _ in g.breakpoints})
+    ref_max = []
+    for a, b in zip(grid, grid[1:]):
+        ref_max.append((a, max(f(a), g(a))))
+        da, db = f(a) - g(a), f(b) - g(b)
+        if da * db < 0:
+            x = a + (b - a) * da / (da - db)
+            ref_max.append((x, f(x)))
+    ref_max.append((hi, max(f(hi), g(hi))))
+    assert pl_add(f, g) == PLFunction(tuple((t, f(t) + g(t)) for t in grid))
+    assert pl_max(f, g) == PLFunction(tuple(ref_max))
+    assert first_difference(f, g) == next((t for t in grid if f(t) != g(t)), None)
     t = data.draw(domain_points(lo, hi))
     assert pl_add(f, g)(t) == f(t) + g(t)
     assert pl_max(f, g)(t) == max(f(t), g(t))

@@ -92,6 +92,8 @@ def test_structure_identity():
     assert verify_identity("symmetry", parse_knot("cable(torus(3,7);3,35)")).passed
     assert verify_identity("symmetry", parse_knot("unknot")).passed
     assert verify_identity("symmetry", parse_knot("torus(2,5)")).passed  # threshold exactly 1
+    for expr in ("torus(1,5)", "cable(unknot;2,1)", "cable(torus(1,3);3,1)"):  # genus 0
+        assert verify_identity("symmetry", parse_knot(expr)).passed, expr
 
 
 def test_dedekind_identity():
