@@ -10,7 +10,7 @@ construction, is the oracle path used to verify every cabling formula here.
 Every envelope here is ``envelope`` over an inclusive range of line indices.
 It sweeps only the lines that can reach the hull (the range ends, the starts
 of runs of S and 2g), in integers; the result equals the envelope of every
-line in the range.
+line in the range.  Every torus knot's Upsilon is ``knot_upsilon(Torus(p, q))``.
 
 The formula paths, selected by ``classify_cable`` (defined in ``semigroup``):
 
@@ -68,10 +68,6 @@ def upsilon_line(s: FormalSemigroup, m: int) -> Line:
     m = int(m)
     if not (0 <= m <= 2 * s.genus):
         raise ValueError(f"index m = {m} outside [0, {2 * s.genus}]")
-    return _line(s, m)
-
-
-def _line(s: FormalSemigroup, m: int) -> Line:
     return Line(m - s.genus, -2 * s.count_below(m))
 
 
@@ -85,7 +81,7 @@ def envelope(s: FormalSemigroup, m_lo: int, m_hi: int, t0=0, t1=2) -> PLFunction
     swept; the envelope is that of the whole range.
     """
     g, small = s.genus, s.small_elements
-    lines = [_line(s, m) for m in {m_lo, 2 * g, m_hi} if m_lo <= m <= m_hi]
+    lines = [Line(m - g, -2 * s.count_below(m)) for m in {m_lo, 2 * g, m_hi} if m_lo <= m <= m_hi]
     # a member's count_below is its index in small_elements
     lines += [
         Line(small[i] - g, -2 * i)
@@ -208,10 +204,7 @@ def cable_upsilon(companion: KnotExpr, p: int, q: int, method: str = "both") -> 
         oracle = upsilon_from_semigroup(cable_semigroup(s, p, q))
     if method in ("formula", "both"):
         if params.regime is CableRegime.PLAIN_SUM:
-            formula = pl_add(
-                amalgamate(upsilon_from_semigroup(s), p),
-                upsilon_from_semigroup(torus_semigroup(p, q)),
-            )
+            formula = pl_add(amalgamate(upsilon_from_semigroup(s), p), knot_upsilon(Torus(p, q)))
         else:
             formula = _windowed_formula(s, params)
     if oracle is not None and formula is not None and oracle != formula:
@@ -288,17 +281,20 @@ def torus_upsilon_decomposition(p: int, q: int) -> list[tuple[int, int]]:
     """
     cf = continued_fraction(q, p)
     pairs = list(zip(cf.coefficients, cf.tail_denominators))
-    lhs = upsilon_from_semigroup(torus_semigroup(p, q))
-    if staircase_sum(pairs) != lhs:
+    if staircase_sum(pairs) != knot_upsilon(Torus(p, q)):
         raise AssemblyError(f"staircase decomposition failed to reconstruct T({p},{q})")
     return pairs
 
 
 def staircase_sum(pairs) -> PLFunction:
-    """sum of a * Upsilon(T(d, d+1)) over (a, d) pairs, as one PL function."""
+    """sum of a * Upsilon(T(d, d+1)) over (a, d) pairs, as one PL function.
+    Each term is the Ozsvath-Stipsicz-Szabo closed form with breakpoints
+    (2i/d, -a*i*(d-i)), i = 0 .. d; it uses no semigroup and no envelope."""
     acc = zero_function()
     for a, d in pairs:
         if a == 0 or d == 1:
             continue
-        acc = pl_add(acc, upsilon_from_semigroup(torus_semigroup(d, d + 1)).scaled(a))
+        if d < 1:
+            raise ValueError(f"staircase index must be >= 1, got {d}")
+        acc = pl_add(acc, PLFunction(tuple([(Fraction(2 * i, d), -a * i * (d - i)) for i in range(d + 1)])))
     return acc

@@ -29,6 +29,7 @@ from .invariant import (
 )
 from .knots import (
     KnotExpr,
+    Torus,
     continued_fraction,
     continued_fraction_of,
     dedekind_sum,
@@ -140,7 +141,7 @@ def check_sum_region(core: KnotExpr, p: int, q: int) -> VerificationReport:
     mu = s.threshold()
     oracle = cable_upsilon(core, p, q, method="oracle")
     ups_k = upsilon_from_semigroup(s)
-    ups_t = upsilon_from_semigroup(torus_semigroup(p, q))
+    ups_t = knot_upsilon(Torus(p, q))
 
     def claims():
         for i in range(p):
@@ -171,7 +172,7 @@ def check_sandwich(core: KnotExpr, p: int, q: int) -> VerificationReport:
     s = semigroup_of(core)
     _require_regime(CableRegime.WINDOWED, s.genus, core, p, q)
     cable = cable_upsilon(core, p, q, method="oracle")
-    ups_t = upsilon_from_semigroup(torus_semigroup(p, q))
+    ups_t = knot_upsilon(Torus(p, q))
     upper = pl_add(amalgamate(upsilon_from_semigroup(s), p), ups_t)
     lower = pl_add(amalgamate(truncated_upsilon(s), p), ups_t)
     return _report("sandwich", (core, p, q), [
@@ -188,16 +189,18 @@ def check_window_symmetries(
     With a core: its truncated invariant is fixed by t -> 2-t.  With (p, q):
     variant 3 mirrors variant 1 and variant 4 mirrors variant 2, window i
     against window p-1-i; additionally the per-window max of variants 1 and 2
-    rebuilds the full torus-knot Upsilon.
+    rebuilds the full torus-knot Upsilon.  Half a (p, q) pair is a ValueError.
     """
+    if (p is None) != (q is None) or (core is None and p is None):
+        raise ValueError("lemma18 needs a core, (p, q), or both")
 
     def claims():
         if core is not None:
             tr = truncated_upsilon(semigroup_of(core))
             yield tr, tr.reflect()
-        if p is not None and q is not None:
+        if p is not None:
             d1, d2, d3, d4 = (upsilon_delta(p, q, variant) for variant in (1, 2, 3, 4))
-            ups_t = upsilon_from_semigroup(torus_semigroup(p, q))
+            ups_t = knot_upsilon(Torus(p, q))
             for i in range(p):
                 yield d3[i], d1[p - 1 - i].reflect(), "variant3"
                 yield d4[i], d2[p - 1 - i].reflect(), "variant4"
@@ -211,7 +214,7 @@ def check_window_symmetries(
 def check_torus_integral(p: int, q: int, emit_note: bool = False) -> VerificationReport:
     """Exact integration equals -(pq - sum a_i)/3, and the value is unchanged
     under re-expanding the continued fraction with trailing 1."""
-    ups = upsilon_from_semigroup(torus_semigroup(p, q))
+    ups = knot_upsilon(Torus(p, q))
 
     def claims():
         yield ups.integral(), torus_integral_from_cf(p, q)
@@ -240,12 +243,12 @@ def check_staircase(p: int, q: int) -> VerificationReport:
     continued-fraction coefficient identities."""
     cf = continued_fraction(q, p)
     pairs = list(zip(cf.coefficients, cf.tail_denominators))
-    ups = upsilon_from_semigroup(torus_semigroup(p, q))
+    ups = knot_upsilon(Torus(p, q))
 
     def claims():
         yield staircase_sum(pairs), ups
         if q > p:
-            step = pl_add(upsilon_from_semigroup(torus_semigroup(p, q - p)), staircase_sum([(1, p)]))
+            step = pl_add(knot_upsilon(Torus(p, q - p)), staircase_sum([(1, p)]))
             yield step, ups, "recurrence"
         yield sum(a * d * (d - 1) for a, d in pairs), (p - 1) * (q - 1), "derivative identity"
         yield sum(a * d for a, d in pairs), q + p - 1, "weighted denominator sum"

@@ -220,6 +220,16 @@ def test_staircase_decomposition():
     pairs = torus_upsilon_decomposition(4, 5)
     assert pairs[0] == (1, 4)
     assert staircase_sum(pairs) == upsilon_from_semigroup(torus_semigroup(4, 5))
+    # the closed-form terms against the envelope oracle
+    for d in range(2, 60):
+        oracle = knot_upsilon(Torus(d, d + 1), "oracle")
+        for a in (1, 2, -3):
+            assert staircase_sum([(a, d)]) == oracle.scaled(a)
+    assert staircase_sum([(0, 0), (5, 1)]) == PLFunction(((0, 0), (2, 0)))
+    with pytest.raises(ValueError):
+        staircase_sum([(1, 0)])
+    with pytest.raises(TypeError):
+        staircase_sum([(1.5, 3)])
 
 
 def test_parse_and_compute_round_trip():

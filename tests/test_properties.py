@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upsilon.invariant import (
-    _line,
     cable_upsilon,
     classify_cable,
     CableRegime,
@@ -261,7 +260,7 @@ def test_envelope_matches_max_of_every_line_in_range(s, data):
     assert env.domain == (t0, t1)
     ts = [t for t, _ in env.breakpoints]
     ts += [(u + v) / 2 for u, v in zip(ts, ts[1:])]
-    every_line = [_line(s, m) for m in range(m_lo, m_hi + 1)]
+    every_line = [Line(m - s.genus, -2 * s.count_below(m)) for m in range(m_lo, m_hi + 1)]
     for t in ts:
         assert env(t) == max(line.at(t) for line in every_line)
 

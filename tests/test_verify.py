@@ -60,6 +60,10 @@ def test_window_symmetries():
     assert verify_identity("lemma18", core=Torus(3, 7)).passed
     assert verify_identity("lemma18", 3, 35).passed
     assert verify_identity("lemma18", 5, 47, core=Torus(2, 5)).passed
+    # nothing to check, or half a (p, q) pair, is a malformed call, not a pass
+    for args, kwargs in [((), {}), ((3,), {}), ((), {"q": 35}), ((3,), {"core": Torus(3, 7)})]:
+        with pytest.raises(ValueError):
+            verify_identity("lemma18", *args, **kwargs)
 
 
 def test_torus_integral_identity_and_note():
