@@ -51,7 +51,6 @@ from .pl import (
     pl_add,
     pl_max,
     upper_envelope,
-    zero_function,
 )
 from .semigroup import (
     CableParams,
@@ -288,13 +287,34 @@ def torus_upsilon_decomposition(p: int, q: int) -> list[tuple[int, int]]:
 
 def staircase_sum(pairs) -> PLFunction:
     """sum of a * Upsilon(T(d, d+1)) over (a, d) pairs, as one PL function.
-    Each term is the Ozsvath-Stipsicz-Szabo closed form with breakpoints
-    (2i/d, -a*i*(d-i)), i = 0 .. d; it uses no semigroup and no envelope."""
-    acc = zero_function()
+
+    Each term is the Ozsvath-Stipsicz-Szabo closed form: initial slope
+    -a*d(d-1)/2, rising by a*d at each 2i/d, 0 < i < d.  The jumps of every
+    term are added per abscissa, sorted once and integrated once from
+    (0, 0), emitting only abscissae with a nonzero net jump; no semigroup,
+    envelope or PL sum is built.  a is an int or Fraction.
+    """
+    slope = 0
+    jumps = {}
     for a, d in pairs:
         if a == 0 or d == 1:
             continue
         if d < 1:
             raise ValueError(f"staircase index must be >= 1, got {d}")
-        acc = pl_add(acc, PLFunction(tuple([(Fraction(2 * i, d), -a * i * (d - i)) for i in range(d + 1)])))
-    return acc
+        if not isinstance(a, (int, Fraction)):
+            raise TypeError(f"expected an exact rational, got {type(a).__name__}")
+        slope -= a * (d * (d - 1) // 2)
+        jump = a * d
+        for i in range(1, d):
+            t = Fraction(2 * i, d)
+            jumps[t] = jumps.get(t, 0) + jump
+    pts = [(0, 0)]
+    t0 = v = 0
+    for t, jump in sorted(jumps.items()):
+        if jump:
+            v += slope * (t - t0)
+            pts.append((t, v))
+            slope += jump
+            t0 = t
+    pts.append((2, v + slope * (2 - t0)))
+    return PLFunction(tuple(pts))

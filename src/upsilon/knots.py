@@ -20,6 +20,7 @@ from math import floor, gcd
 from typing import NamedTuple, Optional, Union
 
 from .errors import KnotSyntaxError
+from .pl import rat
 from .semigroup import (
     CableRegime,
     FormalSemigroup,
@@ -289,8 +290,11 @@ class ContinuedFraction:
 
 
 def continued_fraction_of(coefficients) -> ContinuedFraction:
-    """Build a ContinuedFraction from an explicit coefficient list."""
-    coeffs = tuple([int(a) for a in coefficients])
+    """Build a ContinuedFraction from an explicit coefficient list of ints."""
+    coeffs = tuple(coefficients)
+    for a in coeffs:
+        if not isinstance(a, int):
+            raise TypeError(f"continued fraction coefficients must be integers, got {type(a).__name__}")
     if not coeffs or any(a < 0 for a in coeffs) or any(a == 0 for a in coeffs[1:]):
         raise ValueError(f"invalid continued fraction coefficients {coeffs}")
     num, den = 1, 0
@@ -323,23 +327,28 @@ def continued_fraction(q: int, p: int) -> ContinuedFraction:
 
 
 def sawtooth(x: Fraction) -> Fraction:
-    """((x)): 0 at integers, else x - floor(x) - 1/2."""
-    x = Fraction(x)
+    """((x)): 0 at integers, else x - floor(x) - 1/2; x is an int or Fraction."""
+    x = rat(x)
     if x.denominator == 1:
         return Fraction(0)
     return x - floor(x) - Fraction(1, 2)
 
 
 def dedekind_sum(a: int, b: int) -> Fraction:
-    """s(a, b) = sum over k in [1, b) of ((k/b)) ((ka/b)), exactly."""
+    """s(a, b) = sum over k in [1, b) of ((k/b)) ((ka/b)), exactly.
+
+    For coprime a, b and 0 < k < b neither k/b nor ka/b is an integer, so
+    ((k/b)) = (2k - b)/2b and ((ka/b)) = (2(ka mod b) - b)/2b: the sum is
+    the integer sum of (2k - b)(2(ka mod b) - b), over 4b^2.  The definition
+    is summed term by term; reciprocity is not used, so the ``dedekind``
+    check stays independent of ``signature_integral_torus``.
+    """
     if b < 1:
         raise ValueError(f"modulus must be positive, got {b}")
     if gcd(a, b) != 1:
         raise ValueError(f"arguments must be coprime, got ({a}, {b})")
-    total = Fraction(0)
-    for k in range(1, b):
-        total += sawtooth(Fraction(k, b)) * sawtooth(Fraction(k * a, b))
-    return total
+    total = sum([(2 * k - b) * (2 * (k * a % b) - b) for k in range(1, b)])
+    return Fraction(total, 4 * b * b)
 
 
 def signature_integral_torus(p: int, q: int) -> Fraction:

@@ -1,6 +1,7 @@
 """Knot expressions, the parser, L-space checks, and number theory helpers."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -131,12 +132,17 @@ def test_continued_fraction_of_rejects_garbage():
         continued_fraction_of(())
     with pytest.raises(ValueError):
         continued_fraction_of((2, 0, 2))
+    with pytest.raises(TypeError):
+        continued_fraction_of([2.7, 1.2])  # no truncation to (2, 1)
 
 
 def test_sawtooth():
     assert sawtooth(F(3)) == 0
     assert sawtooth(F(1, 4)) == -F(1, 4)
     assert sawtooth(F(7, 4)) == F(1, 4)
+    assert sawtooth(-3) == 0
+    with pytest.raises(TypeError):
+        sawtooth(0.1)
 
 
 def test_dedekind_values():
@@ -145,6 +151,15 @@ def test_dedekind_values():
     assert 4 * (dedekind_sum(3, 2) + dedekind_sum(2, 3) - dedekind_sum(1, 6)) == F(-4, 3)
     with pytest.raises(ValueError, match="coprime"):
         dedekind_sum(2, 4)
+
+
+def test_dedekind_sum_is_the_definition():
+    for b in range(1, 61):
+        left = [sawtooth(F(k, b)) for k in range(1, b)]
+        for a in range(-b, 2 * b):
+            if gcd(a, b) == 1:
+                expected = sum(x * sawtooth(F(k * a, b)) for k, x in enumerate(left, 1))
+                assert dedekind_sum(a, b) == expected, (a, b)
 
 
 def test_signature_integral():

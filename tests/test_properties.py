@@ -13,6 +13,7 @@ from upsilon.invariant import (
     CableRegime,
     envelope,
     knot_upsilon,
+    staircase_sum,
     tau,
     torus_integral_from_cf,
     upsilon_from_semigroup,
@@ -202,6 +203,39 @@ def test_dedekind_matches_closed_form(pq):
     p, q = pq
     lhs = 4 * (dedekind_sum(q, p) + dedekind_sum(p, q) - dedekind_sum(1, p * q))
     assert lhs == signature_integral_torus(p, q)
+
+
+def _staircase_by_pl_add(pairs):
+    """The staircase as one pl_add per term, each term given by its
+    breakpoints (2i/d, -a*i*(d-i)), i = 0 .. d."""
+    acc = PLFunction(((0, 0), (2, 0)))
+    for a, d in pairs:
+        if a != 0 and d != 1:
+            acc = pl_add(acc, PLFunction(tuple([(F(2 * i, d), -a * i * (d - i)) for i in range(d + 1)])))
+    return acc
+
+
+@st.composite
+def staircase_pairs(draw):
+    ds = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))  # few d's, so some repeat
+    coefficient = st.one_of(st.integers(-6, 6), rationals)
+    return draw(st.lists(st.tuples(coefficient, st.sampled_from(ds)), max_size=8))
+
+
+@given(st.integers(2, 80).flatmap(
+    lambda q: st.tuples(st.integers(1, q - 1).filter(lambda p: gcd(p, q) == 1), st.just(q))))
+@settings(max_examples=60, deadline=None)
+def test_staircase_matches_oracle_on_torus_knots(pq):
+    p, q = pq
+    cf = continued_fraction(q, p)
+    pairs = list(zip(cf.coefficients, cf.tail_denominators))
+    assert staircase_sum(pairs) == knot_upsilon(Torus(p, q), "oracle")
+
+
+@given(staircase_pairs())
+@settings(max_examples=60, deadline=None)
+def test_staircase_matches_sum_of_terms(pairs):
+    assert staircase_sum(pairs) == _staircase_by_pl_add(pairs)
 
 
 @given(lspace_knots())
